@@ -4,6 +4,8 @@
 //! (color-coded monitoring) is the combination measured end-to-end in
 //! `online_session`.
 
+use std::collections::HashMap;
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use stetho_bench::synthetic_trace;
 use stetho_core::{GradientColoring, PairElision, ThresholdColoring};
@@ -20,12 +22,14 @@ fn bench_pair_elision(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_pair_elision_changes(c: &mut Criterion) {
+fn bench_pair_elision_diff(c: &mut Criterion) {
     // The per-event online path: re-analysing the window after each
-    // arrival (what §4.2 does against the sample buffer).
+    // arrival (what §4.2 does against the sample buffer) and diffing it
+    // against what is painted.
     let window = synthetic_trace(128, 4, 7);
-    c.bench_function("coloring/pair_elision_changes_256", |b| {
-        b.iter(|| PairElision.changes(&window).len())
+    let painted = HashMap::new();
+    c.bench_function("coloring/pair_elision_diff_256", |b| {
+        b.iter(|| PairElision.diff(&window, &painted).len())
     });
 }
 
@@ -68,6 +72,6 @@ fn bench_gradient(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_pair_elision, bench_pair_elision_changes, bench_threshold, bench_gradient
+    targets = bench_pair_elision, bench_pair_elision_diff, bench_threshold, bench_gradient
 }
 criterion_main!(benches);

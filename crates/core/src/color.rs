@@ -123,35 +123,14 @@ impl PairElision {
         out
     }
 
-    /// Like [`Self::analyse`] but returning only the nodes that must
-    /// visibly change (RED/GREEN), ordered by pc — what gets queued on
-    /// the EDT.
-    ///
-    /// Note this cannot *revert* a node: `Uncolored` results are
-    /// filtered out, so a previously-RED node whose pair completes and
-    /// elides (or slides out of the sample window) keeps its stale
-    /// fill. Sessions that track per-round state should use
-    /// [`Self::diff`] instead.
-    pub fn changes(&self, buffer: &[TraceEvent]) -> Vec<ColorChange> {
-        let mut v: Vec<ColorChange> = self
-            .analyse(buffer)
-            .into_iter()
-            .filter(|(_, s)| !matches!(s, ColorState::Uncolored))
-            .map(|(pc, state)| ColorChange { pc, state })
-            .collect();
-        v.sort_by_key(|c| c.pc);
-        v
-    }
-
     /// Analyse a buffer snapshot and diff it against the previous
     /// round's states, returning every node whose visual state changed
     /// — including reverts to [`ColorState::Uncolored`].
     ///
-    /// Two revert paths exist that [`Self::changes`] silently drops:
-    /// a pc whose new analysis is `Uncolored` (its start/done pair now
-    /// sits adjacent in the buffer and elides), and a pc the analysis
-    /// no longer mentions at all (its events slid out of the bounded
-    /// sample window). Both must repaint to the default fill or the
+    /// A node reverts in two ways: a pc whose new analysis is
+    /// `Uncolored` (its start/done pair now sits adjacent in the buffer
+    /// and elides), and a pc the analysis no longer mentions at all (its
+    /// events slid out of the bounded sample window). Both must repaint to the default fill or the
     /// node shows a stale RED forever. A pc absent from `prev` is
     /// treated as `Uncolored`, so no change is emitted for nodes that
     /// were never painted.
@@ -361,23 +340,10 @@ mod tests {
     }
 
     #[test]
-    fn changes_are_sorted_and_filtered() {
-        let buffer = vec![start(9), start(2), done(9), start(5)];
-        let changes = PairElision.changes(&buffer);
-        // 9: red then done→green; 2: red; 5: last event pending.
-        assert_eq!(changes.len(), 2);
-        assert_eq!(changes[0].pc, 2);
-        assert_eq!(changes[0].state, ColorState::Red);
-        assert_eq!(changes[1].pc, 9);
-        assert_eq!(changes[1].state, ColorState::Green);
-    }
-
-    #[test]
     fn diff_reverts_stale_red_when_pair_elides() {
         // Regression: round 1 sees an unpaired start → pc=3 RED. Round 2
         // the done arrived and more events follow, so the pair elides to
-        // Uncolored — but `changes()` filters Uncolored and the node
-        // stayed RED on screen forever.
+        // Uncolored, and the node must not stay RED on screen.
         let round1 = vec![start(3), start(4)];
         let mut prev: HashMap<usize, ColorState> = HashMap::new();
         for c in PairElision.diff(&round1, &prev) {

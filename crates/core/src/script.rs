@@ -110,8 +110,8 @@ impl InteractionScript {
                 Action::Pause => session.replay.pause(),
                 Action::Click { x, y } => log.clicks.push(session.click(*x, *y)),
                 Action::FocusAnimated { pc, ms } => {
-                    if let Some(idx) = session.map.node_of_pc(*pc) {
-                        let n = &session.scene.nodes[idx];
+                    if let Some(idx) = session.view.map.node_of_pc(*pc) {
+                        let n = &session.view.scene.nodes[idx];
                         animator.add_slide(CameraSlide::new(
                             &session.camera,
                             (n.x, n.y, 30.0),
@@ -122,7 +122,7 @@ impl InteractionScript {
                         let mut left = *ms;
                         while left > 0 || animator.busy() {
                             let dt = tick_ms.min(left.max(1));
-                            animator.step(dt as f64, &mut session.camera, &mut session.space);
+                            animator.step(dt as f64, &mut session.camera, &mut session.view.space);
                             session.advance_ms(dt);
                             log.elapsed_ms += dt;
                             left = left.saturating_sub(dt);
@@ -195,7 +195,7 @@ mod tests {
     #[test]
     fn scripted_walkthrough() {
         let mut s = session();
-        let node1 = s.scene.nodes[1].clone();
+        let node1 = s.view.scene.nodes[1].clone();
         let script = InteractionScript::new()
             .then(Action::Step)
             .then(Action::Step)
@@ -216,7 +216,7 @@ mod tests {
         assert_eq!(log.snapshots.len(), 2);
         assert!(log.elapsed_ms >= 10_000);
         // The animated focus landed the camera on node 2.
-        let n2 = &s.scene.nodes[2];
+        let n2 = &s.view.scene.nodes[2];
         let (cx, cy, alt) = log.focus_poses[0];
         assert!((cx - n2.x).abs() < 1.0, "cx {cx} vs {}", n2.x);
         assert!((cy - n2.y).abs() < 1.0);

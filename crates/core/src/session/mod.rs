@@ -8,7 +8,11 @@
 pub mod multi;
 pub mod offline;
 pub mod online;
+mod shared;
 pub mod snapshot;
+
+pub use shared::PlanView;
+pub(crate) use shared::Server;
 
 use std::fmt;
 

@@ -15,13 +15,13 @@ use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use stetho_engine::{Catalog, ExecOptions, Interpreter, ProfilerConfig, UdpSink};
+use stetho_engine::Catalog;
 use stetho_profiler::udp::{StreamItem, StreamRecvError};
 use stetho_profiler::{FilterOptions, ProfilerEmitter, TextualStethoscope, TraceEvent};
 use stetho_sql::compile;
 
 use crate::analysis::SessionReport;
-use crate::session::SessionError;
+use crate::session::{Server, SessionError};
 
 /// One server's workload.
 #[derive(Clone)]
@@ -82,9 +82,7 @@ impl MultiServerSession {
         // Launch each server: connect its emitter first (so we can
         // register its per-server filter before any event flows), then
         // run the query in a thread.
-        let mut handles = Vec::new();
-        let mut sources = Vec::new();
-        let mut plans = Vec::new();
+        let mut launched = Vec::with_capacity(specs.len());
         for spec in &specs {
             let compiled = compile(&spec.catalog, &spec.sql)
                 .map_err(|e| SessionError::new(format!("{}: compile: {e}", spec.name)))?;
@@ -93,38 +91,23 @@ impl MultiServerSession {
             if let Some(f) = &spec.filter {
                 steth.set_server_filter(source, f.clone());
             }
-            sources.push(source);
-            plans.push(compiled.plan.clone());
-            let catalog = Arc::clone(&spec.catalog);
-            let plan = compiled.plan;
-            handles.push(
-                std::thread::Builder::new()
-                    .name(format!("mserver-{}", spec.name))
-                    .spawn(move || -> Result<usize, String> {
-                        let sink = UdpSink::new(emitter);
-                        let interp = Interpreter::new(catalog);
-                        let out = interp
-                            .execute(
-                                &plan,
-                                &ExecOptions::profiled(ProfilerConfig::to_sink(sink.clone())),
-                            )
-                            .map_err(|e| e.to_string())?;
-                        sink.emitter()
-                            .send_end_of_trace()
-                            .map_err(|e| e.to_string())?;
-                        Ok(out.result.map(|r| r.rows()).unwrap_or(0))
-                    })
-                    .map_err(SessionError::from)?,
-            );
+            let server = Server {
+                catalog: Arc::clone(&spec.catalog),
+                plan: compiled.plan.clone(),
+                dot: None,
+                workers: 0,
+                metrics: None,
+            };
+            launched.push((source, compiled.plan, server.spawn(&spec.name, emitter)?));
         }
 
         // Per-server demux counters, keyed by the source address the
         // merged stream tags each event with.
         let event_counters: HashMap<SocketAddr, stetho_obsv::Counter> = match &metrics {
-            Some(reg) => sources
+            Some(reg) => launched
                 .iter()
                 .zip(&specs)
-                .map(|(&source, spec)| {
+                .map(|(&(source, ..), spec)| {
                     let c = reg.counter_with(
                         "stetho_multi_events_total",
                         "Events demultiplexed per connected server",
@@ -167,13 +150,8 @@ impl MultiServerSession {
         steth.stop();
 
         let mut outcomes = Vec::with_capacity(specs.len());
-        for (((spec, source), handle), plan) in
-            specs.into_iter().zip(sources).zip(handles).zip(plans)
-        {
-            let result_rows = handle
-                .join()
-                .map_err(|_| SessionError::new(format!("{}: query thread panicked", spec.name)))?
-                .map_err(SessionError::new)?;
+        for (spec, (source, plan, handle)) in specs.into_iter().zip(launched) {
+            let result_rows = handle.join()?;
             let events = per_source.remove(&source).unwrap_or_default();
             let report = SessionReport::build(&plan, &events, 3, 4);
             outcomes.push(ServerOutcome {

@@ -9,35 +9,31 @@
 //! laid out, written to SVG, and the SVG parsed back into the in-memory
 //! scene graph the viewer navigates (§4: dot → svg → graph structure).
 
-use std::collections::HashMap;
+use std::fs::File;
+use std::io::{BufRead, BufReader};
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 
 use stetho_dot::{parse_dot, Graph};
-use stetho_layout::{layout, parse_svg, write_svg, LayoutOptions, SceneGraph};
-use stetho_profiler::{FilterOptions, TraceEvent, TraceFile};
+use stetho_profiler::tracefile::read_events;
+use stetho_profiler::{FilterOptions, TraceEvent};
 use stetho_zvtm::overview::{birdseye, duration_colors, trace_strip};
 use stetho_zvtm::render::{render, render_svg_frame, Framebuffer, RenderOptions};
-use stetho_zvtm::{Camera, Color, EventDispatchThread, VirtualSpace};
+use stetho_zvtm::{Camera, EventDispatchThread};
 
 use crate::color::ColorState;
 use crate::inspect::{tooltip, ToolTip};
-use crate::mapping::TraceDotMap;
 use crate::metrics::SessionMetrics;
 use crate::replay::ReplayController;
-use crate::session::SessionError;
+use crate::session::{PlanView, SessionError};
 
 /// An interactive offline analysis session.
 pub struct OfflineSession {
     /// The parsed dot graph.
     pub graph: Graph,
-    /// The laid-out scene (product of the dot → svg → graph pipeline).
-    pub scene: SceneGraph,
-    /// The glyph canvas.
-    pub space: VirtualSpace,
-    /// pc ↔ node ↔ glyph resolution.
-    pub map: TraceDotMap,
+    /// Scene, glyph canvas and pc map of the laid-out plan.
+    pub view: PlanView,
     /// The replay engine.
     pub replay: ReplayController,
     /// The viewer camera.
@@ -46,10 +42,6 @@ pub struct OfflineSession {
     pub edt: EventDispatchThread,
     /// Virtual session clock (ms) driving the EDT.
     pub now_ms: u64,
-    /// Self-observability registry, when attached via
-    /// [`OfflineSession::with_metrics`].
-    pub metrics: Option<Arc<stetho_obsv::Registry>>,
-    last_states: HashMap<usize, ColorState>,
     instruments: Option<SessionMetrics>,
 }
 
@@ -65,19 +57,7 @@ impl OfflineSession {
         trace_text: &str,
         filter: &FilterOptions,
     ) -> Result<Self, SessionError> {
-        let graph = parse_dot(dot_text).map_err(|e| SessionError::new(format!("dot: {e}")))?;
-        let mut events = Vec::new();
-        for (i, line) in trace_text.lines().enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let e = stetho_profiler::parse_event(line)
-                .map_err(|e| SessionError::new(format!("trace line {}: {e}", i + 1)))?;
-            if filter.accepts(&e) {
-                events.push(e);
-            }
-        }
-        Self::from_parts(graph, events)
+        Self::load(dot_text, trace_text.as_bytes(), filter)
     }
 
     /// Build from preexisting dot and trace files.
@@ -86,36 +66,35 @@ impl OfflineSession {
         trace_path: impl AsRef<Path>,
     ) -> Result<Self, SessionError> {
         let dot_text = std::fs::read_to_string(dot_path)?;
-        let graph = parse_dot(&dot_text).map_err(|e| SessionError::new(format!("dot: {e}")))?;
-        let events = TraceFile::new(trace_path.as_ref()).read()?;
+        let trace = BufReader::new(File::open(trace_path)?);
+        Self::load(&dot_text, trace, &FilterOptions::all())
+    }
+
+    fn load(
+        dot_text: &str,
+        trace: impl BufRead,
+        filter: &FilterOptions,
+    ) -> Result<Self, SessionError> {
+        let graph = parse_dot(dot_text).map_err(|e| SessionError::new(format!("dot: {e}")))?;
+        let events =
+            read_events(trace, filter).map_err(|e| SessionError::new(format!("trace {e}")))?;
         Self::from_parts(graph, events)
     }
 
     /// Build from an already-parsed graph and event list.
     pub fn from_parts(graph: Graph, events: Vec<TraceEvent>) -> Result<Self, SessionError> {
-        // The shared pipeline: graph → layout → svg → parse → scene.
-        let laid_out = layout(&graph, &LayoutOptions::default());
-        let svg = write_svg(&laid_out);
-        let scene = parse_svg(&svg).map_err(|e| SessionError::new(format!("svg: {e}")))?;
-        let (space, node_glyphs) = VirtualSpace::from_scene(&scene);
-        let mut map = TraceDotMap::from_scene(&scene);
-        map.attach_glyphs(&node_glyphs);
-
+        let view = PlanView::build(&graph)?;
         let mut camera = Camera::default();
-        if !space.is_empty() {
-            camera.fit(space.bounds(), 1280.0, 800.0, 1.05);
+        if !view.space.is_empty() {
+            camera.fit(view.space.bounds(), 1280.0, 800.0, 1.05);
         }
         Ok(OfflineSession {
             graph,
-            scene,
-            space,
-            map,
+            view,
             replay: ReplayController::new(events),
             camera,
             edt: EventDispatchThread::paper_default(),
             now_ms: 0,
-            metrics: None,
-            last_states: HashMap::new(),
             instruments: None,
         })
     }
@@ -125,7 +104,6 @@ impl OfflineSession {
     /// the EDT backlog is kept as a gauge.
     pub fn with_metrics(mut self, registry: Arc<stetho_obsv::Registry>) -> Self {
         self.instruments = Some(SessionMetrics::new(&registry));
-        self.metrics = Some(registry);
         self
     }
 
@@ -157,38 +135,17 @@ impl OfflineSession {
     /// Advance the session clock, letting paced renders land on glyphs.
     pub fn advance_ms(&mut self, dt: u64) {
         self.now_ms += dt;
-        self.edt.advance_into(self.now_ms, &mut self.space);
+        self.edt.advance_into(self.now_ms, &mut self.view.space);
         if let Some(m) = &self.instruments {
             m.edt_queue_depth.set(self.edt.backlog() as f64);
         }
     }
 
-    /// Recompute pair-elision colors over the applied prefix and queue
-    /// changed nodes on the EDT.
+    /// Repaint from pair-elision over the applied prefix.
     fn sync_colors(&mut self) {
         let round_started = Instant::now();
-        let states = self.replay.current_colors();
-        for (&pc, &state) in &states {
-            if self.last_states.get(&pc) != Some(&state) {
-                if let Some(glyph) = self.map.shape_of_pc(pc) {
-                    self.edt.enqueue(glyph, state.fill(), self.now_ms);
-                }
-                self.last_states.insert(pc, state);
-            }
-        }
-        // Nodes that dropped out of the window revert to default.
-        let stale: Vec<usize> = self
-            .last_states
-            .keys()
-            .filter(|pc| !states.contains_key(pc))
-            .copied()
-            .collect();
-        for pc in stale {
-            if let Some(glyph) = self.map.shape_of_pc(pc) {
-                self.edt.enqueue(glyph, Color::DEFAULT_FILL, self.now_ms);
-            }
-            self.last_states.remove(&pc);
-        }
+        let prefix = &self.replay.events()[..self.replay.position()];
+        self.view.paint(prefix, &mut self.edt, self.now_ms);
         if let Some(m) = &self.instruments {
             m.record_round(
                 round_started.elapsed().as_micros() as u64,
@@ -200,15 +157,12 @@ impl OfflineSession {
 
     /// Current color state of a node.
     pub fn node_state(&self, pc: usize) -> ColorState {
-        self.last_states
-            .get(&pc)
-            .copied()
-            .unwrap_or(ColorState::Uncolored)
+        self.view.state(pc)
     }
 
     /// Tool-tip for a node (§3 feature 3).
     pub fn tooltip(&self, pc: usize) -> Option<ToolTip> {
-        tooltip(&self.map, &self.replay, pc)
+        tooltip(&self.view.map, &self.replay, pc)
     }
 
     /// Verify the §3.3 contract between the loaded dot file and trace:
@@ -220,7 +174,7 @@ impl OfflineSession {
             .replay
             .events()
             .iter()
-            .filter(|e| !self.map.stmt_matches(e.pc, &e.stmt))
+            .filter(|e| !self.view.map.stmt_matches(e.pc, &e.stmt))
             .map(|e| e.pc)
             .collect();
         bad.sort_unstable();
@@ -230,16 +184,16 @@ impl OfflineSession {
 
     /// Hit-test a click in world coordinates and return the node's pc.
     pub fn click(&self, wx: f64, wy: f64) -> Option<usize> {
-        let idx = self.scene.hit_test(wx, wy)?;
-        stetho_dot::plan_conv::node_name_to_pc(&self.scene.nodes[idx].name)
+        let idx = self.view.scene.hit_test(wx, wy)?;
+        stetho_dot::plan_conv::node_name_to_pc(&self.view.scene.nodes[idx].name)
     }
 
     /// Animate-less jump of the camera onto a node (navigation).
     pub fn focus_node(&mut self, pc: usize) -> bool {
-        let Some(idx) = self.map.node_of_pc(pc) else {
+        let Some(idx) = self.view.map.node_of_pc(pc) else {
             return false;
         };
-        let n = &self.scene.nodes[idx];
+        let n = &self.view.scene.nodes[idx];
         self.camera.cx = n.x;
         self.camera.cy = n.y;
         self.camera.altitude = 0.0;
@@ -248,13 +202,13 @@ impl OfflineSession {
 
     /// Render the current display window as SVG (Figure 4's frame).
     pub fn render_frame_svg(&self) -> String {
-        render_svg_frame(&self.space)
+        render_svg_frame(&self.view.space)
     }
 
     /// Rasterise the current viewport.
     pub fn render_frame(&self, width: usize, height: usize) -> Framebuffer {
         render(
-            &self.space,
+            &self.view.space,
             &self.camera,
             width,
             height,
@@ -264,7 +218,7 @@ impl OfflineSession {
 
     /// Birds-eye thumbnail of the whole plan (§5).
     pub fn birdseye(&self, width: usize, height: usize) -> Framebuffer {
-        birdseye(&self.space, width, height)
+        birdseye(&self.view.space, width, height)
     }
 
     /// Birds-eye strip of the whole trace, colored by duration (§5
@@ -284,6 +238,7 @@ impl OfflineSession {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::color::PairElision;
     use stetho_profiler::format_event;
 
     fn dot_text() -> String {
@@ -329,11 +284,11 @@ mod tests {
     #[test]
     fn load_runs_full_pipeline() {
         let s = OfflineSession::load_text(&dot_text(), &trace_text()).unwrap();
-        assert_eq!(s.scene.nodes.len(), 4);
-        assert_eq!(s.map.len(), 4);
+        assert_eq!(s.view.scene.nodes.len(), 4);
+        assert_eq!(s.view.map.len(), 4);
         assert_eq!(s.replay.len(), 8);
         // Space has shape+text per node plus 3 edges.
-        assert_eq!(s.space.len(), 4 * 2 + 3);
+        assert_eq!(s.view.space.len(), 4 * 2 + 3);
     }
 
     #[test]
@@ -345,10 +300,10 @@ mod tests {
         s.step();
         s.step();
         assert!(s.edt.backlog() > 0 || s.edt.stats.dispatched > 0);
-        let glyph0 = s.map.shape_of_pc(0).unwrap();
+        let glyph0 = s.view.map.shape_of_pc(0).unwrap();
         // Colors land only as the clock advances.
         s.advance_ms(1);
-        let _ = s.space.glyph(glyph0).color;
+        let _ = s.view.space.glyph(glyph0).color;
         s.advance_ms(10_000);
         assert_eq!(s.edt.backlog(), 0, "clock advance drains the queue");
     }
@@ -364,6 +319,62 @@ mod tests {
         }
     }
 
+    /// Advance the clock until every queued repaint has landed.
+    fn drain(s: &mut OfflineSession) {
+        while s.edt.backlog() > 0 {
+            s.advance_ms(10_000);
+        }
+    }
+
+    #[test]
+    fn rewind_repaints_to_the_prefix_colors() {
+        // Interleaved starts leave every node GREEN at the end, so each
+        // rewind has to revert some nodes to RED or to the default fill.
+        let stmts = [
+            "X_0 := sql.mvc();",
+            "X_1 := sql.tid(X_0);",
+            "X_2 := algebra.select(X_1);",
+            "X_3 := algebra.projection(X_2);",
+        ];
+        let order = [(0, true), (1, true), (0, false), (2, true)]
+            .into_iter()
+            .chain([(1, false), (2, false), (3, true), (3, false)]);
+        let events: Vec<TraceEvent> = order
+            .enumerate()
+            .map(|(seq, (pc, start))| {
+                let clk = seq as u64 * 10;
+                if start {
+                    TraceEvent::start(seq as u64, pc, 0, clk, 100, stmts[pc])
+                } else {
+                    TraceEvent::done(seq as u64, pc, 0, clk, 10, 100, stmts[pc])
+                }
+            })
+            .collect();
+        let text: Vec<String> = events.iter().map(format_event).collect();
+        let mut s = OfflineSession::load_text(&dot_text(), &text.join("\n")).unwrap();
+        s.run_to_end();
+        drain(&mut s);
+        for pc in 0..4 {
+            assert_eq!(s.node_state(pc), ColorState::Green, "pc {pc} at the end");
+        }
+        let len = events.len();
+        for k in [0, len / 2, len - 1] {
+            s.seek(k);
+            drain(&mut s);
+            let expected = PairElision.analyse(&events[..k]);
+            for pc in 0..4 {
+                let state = expected.get(&pc).copied().unwrap_or(ColorState::Uncolored);
+                assert_eq!(s.node_state(pc), state, "pc {pc} after seek({k})");
+                let glyph = s.view.map.shape_of_pc(pc).unwrap();
+                assert_eq!(
+                    s.view.space.glyph(glyph).color,
+                    state.fill(),
+                    "pc {pc} fill after seek({k})"
+                );
+            }
+        }
+    }
+
     #[test]
     fn tooltips_and_clicks() {
         let mut s = OfflineSession::load_text(&dot_text(), &trace_text()).unwrap();
@@ -371,7 +382,7 @@ mod tests {
         let tip = s.tooltip(1).unwrap();
         assert!(tip.stmt.contains("sql.tid"));
         // Click on node n2's coordinates.
-        let n2 = &s.scene.nodes[2];
+        let n2 = &s.view.scene.nodes[2];
         assert_eq!(s.click(n2.x, n2.y), Some(2));
         assert_eq!(s.click(-100.0, -100.0), None);
     }
@@ -444,7 +455,7 @@ mod tests {
         let s = OfflineSession::load_text(&dot_text(), &trace_text()).unwrap();
         for e in s.replay.events() {
             assert!(
-                s.map.stmt_matches(e.pc, &e.stmt),
+                s.view.map.stmt_matches(e.pc, &e.stmt),
                 "trace stmt must equal dot label for pc {}",
                 e.pc
             );

@@ -34,11 +34,11 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use stetho_dot::plan_to_dot;
-use stetho_engine::{Catalog, ExecOptions, Interpreter, ProfilerConfig, UdpSink};
-use stetho_layout::{layout, parse_svg, write_svg, LayoutOptions, SceneGraph};
+use stetho_engine::Catalog;
+use stetho_layout::SceneGraph;
 use stetho_mal::{Plan, VerifyReport};
 use stetho_profiler::chaos::{ChaosConfig, ChaosLink, ChaosReport};
-use stetho_profiler::reassembly::{TransportStats, DEFAULT_REORDER_WINDOW};
+use stetho_profiler::reassembly::TransportStats;
 use stetho_profiler::tracefile::TraceWriter;
 use stetho_profiler::udp::{StreamItem, StreamRecvError};
 use stetho_profiler::{
@@ -53,7 +53,7 @@ use crate::mapping::TraceDotMap;
 use crate::metrics::SessionMetrics;
 use crate::progress::{InstrState, ProgressModel, ProgressSnapshot};
 use crate::replay::repair_lost_dones;
-use crate::session::SessionError;
+use crate::session::{PlanView, Server, SessionError};
 
 static SESSION_SEQ: AtomicU64 = AtomicU64::new(0);
 
@@ -79,8 +79,6 @@ pub struct OnlineConfig {
     /// Route the stream through a deterministic in-memory [`ChaosLink`]
     /// with this fault schedule instead of real UDP (testing).
     pub chaos: Option<ChaosConfig>,
-    /// Per-source reorder window of the receiver's reassembly stage.
-    pub reorder_window: usize,
     /// Self-observability registry. When set, the session publishes
     /// analyse latency, pacing adherence, EDT backlog, sampling loss
     /// and progress gauges into it, bridges the receiver's transport
@@ -102,7 +100,6 @@ impl Default for OnlineConfig {
             dot_path: dir.join(format!("stetho_online_{}_{id}.dot", std::process::id())),
             trace_path: dir.join(format!("stetho_online_{}_{id}.trace", std::process::id())),
             chaos: None,
-            reorder_window: DEFAULT_REORDER_WINDOW,
             metrics: None,
         }
     }
@@ -168,16 +165,13 @@ struct Monitor<'a> {
     started: Instant,
     dot_buffer: String,
     used_dot: Option<String>,
-    scene: Option<SceneGraph>,
-    space: Option<VirtualSpace>,
-    map: TraceDotMap,
+    view: Option<PlanView>,
     trace_writer: TraceWriter,
     events: Vec<TraceEvent>,
     sample: SampleBuffer,
     edt: EventDispatchThread,
     threshold: Option<ThresholdColoring>,
     progress: ProgressModel,
-    last_states: HashMap<usize, ColorState>,
     saw_eot: bool,
     lost_gaps: Vec<(u64, u64)>,
     garbled_lines: u64,
@@ -211,29 +205,22 @@ impl Monitor<'_> {
     /// locally compiled dot when the received copy was damaged in
     /// transit (missing lines, lost begin/end framing).
     fn adopt_dot(&mut self, received: String) -> Result<(), SessionError> {
-        let usable = match stetho_dot::parse_dot(&received) {
-            Ok(graph) => graph.nodes().len() == self.plan.len(),
-            Err(_) => false,
-        };
-        let text = if usable {
-            received
-        } else {
-            self.dot_degraded = true;
-            self.local_dot.to_string()
+        let usable = stetho_dot::parse_dot(&received)
+            .ok()
+            .filter(|graph| graph.nodes().len() == self.plan.len());
+        let (text, graph) = match usable {
+            Some(graph) => (received, graph),
+            None => {
+                self.dot_degraded = true;
+                let graph = stetho_dot::parse_dot(self.local_dot)
+                    .map_err(|e| SessionError::new(format!("dot: {e}")))?;
+                (self.local_dot.to_string(), graph)
+            }
         };
         // "It filters the dot file content, generates a new dot file,
         // and stores the content in it."
         std::fs::write(&self.cfg.dot_path, &text)?;
-        let graph =
-            stetho_dot::parse_dot(&text).map_err(|e| SessionError::new(format!("dot: {e}")))?;
-        let laid = layout(&graph, &LayoutOptions::default());
-        let svg = write_svg(&laid);
-        let sc = parse_svg(&svg).map_err(|e| SessionError::new(format!("svg: {e}")))?;
-        let (sp, node_glyphs) = VirtualSpace::from_scene(&sc);
-        self.map = TraceDotMap::from_scene(&sc);
-        self.map.attach_glyphs(&node_glyphs);
-        self.scene = Some(sc);
-        self.space = Some(sp);
+        self.view = Some(PlanView::build(&graph)?);
         self.used_dot = Some(text);
         Ok(())
     }
@@ -249,26 +236,13 @@ impl Monitor<'_> {
             t.on_tick(event.clk);
         }
         self.events.push(event);
-        // Run-time analysis over the sample buffer (§4.2.1), diffed
-        // against the previous round so nodes whose pair completed and
-        // elided — or slid out of the bounded window — repaint back to
-        // the default fill instead of keeping a stale RED.
+        // Run-time analysis over the sample buffer (§4.2.1). Changes are
+        // dropped until the dot is adopted.
         let round_started = Instant::now();
-        let snapshot = self.sample.snapshot();
-        let changes = PairElision.diff(&snapshot, &self.last_states);
-        let now_ms = self.started.elapsed().as_millis() as u64;
-        if let Some(sp) = self.space.as_mut() {
-            for c in changes {
-                if let Some(g) = self.map.shape_of_pc(c.pc) {
-                    self.edt.enqueue(g, c.state.fill(), now_ms);
-                }
-                if c.state == ColorState::Uncolored {
-                    self.last_states.remove(&c.pc);
-                } else {
-                    self.last_states.insert(c.pc, c.state);
-                }
-            }
-            self.edt.advance_into(now_ms, sp);
+        if let Some(view) = self.view.as_mut() {
+            let now_ms = self.started.elapsed().as_millis() as u64;
+            view.paint(&self.sample.snapshot(), &mut self.edt, now_ms);
+            self.edt.advance_into(now_ms, &mut view.space);
         }
         if let Some(m) = &self.metrics {
             m.record_round(
@@ -341,9 +315,8 @@ impl OnlineSession {
         let chaos_link = cfg.chaos.map(ChaosLink::new);
         let mut steth = match &chaos_link {
             Some(link) => TextualStethoscope::over(link),
-            None => TextualStethoscope::bind().map_err(SessionError::from)?,
+            None => TextualStethoscope::bind()?,
         };
-        steth.set_reorder_window(cfg.reorder_window);
         steth.set_default_filter(cfg.filter.clone());
         if let Some(reg) = &cfg.metrics {
             crate::metrics::bridge_transport(reg, steth.counters());
@@ -351,43 +324,18 @@ impl OnlineSession {
         let rx = steth.start();
         let emitter = match &chaos_link {
             Some(link) => ProfilerEmitter::over(link),
-            None => {
-                let addr = steth.local_addr().map_err(SessionError::from)?;
-                ProfilerEmitter::connect(addr).map_err(SessionError::from)?
-            }
+            None => ProfilerEmitter::connect(steth.local_addr()?)?,
         };
 
         // Query thread: send dot first, run, then mark end of trace.
-        let plan_for_query = plan.clone();
-        let catalog_for_query = Arc::clone(&catalog);
-        let dot_for_query = dot_text.clone();
-        let workers = cfg.workers;
-        let metrics_for_query = cfg.metrics.clone();
-        let query_thread = std::thread::Builder::new()
-            .name("mserver-query".into())
-            .spawn(move || -> Result<usize, String> {
-                emitter
-                    .send_dot(&plan_for_query.name, &dot_for_query)
-                    .map_err(|e| e.to_string())?;
-                let sink = UdpSink::new(emitter);
-                let mut opts = if workers > 1 {
-                    ExecOptions::parallel(workers, ProfilerConfig::to_sink(sink.clone()))
-                } else {
-                    ExecOptions::profiled(ProfilerConfig::to_sink(sink.clone()))
-                };
-                opts.metrics = metrics_for_query;
-                let interp = Interpreter::new(catalog_for_query);
-                let out = interp
-                    .execute(&plan_for_query, &opts)
-                    .map_err(|e| e.to_string())?;
-                sink.emitter()
-                    .send_end_of_trace()
-                    .map_err(|e| e.to_string())?;
-                Ok(out.result.map(|r| r.rows()).unwrap_or(0))
-                // `sink` (and with it the emitter) drops here, flushing
-                // and closing an in-memory link.
-            })
-            .map_err(SessionError::from)?;
+        let query_thread = Server {
+            catalog,
+            plan: plan.clone(),
+            dot: Some(dot_text.clone()),
+            workers: cfg.workers,
+            metrics: cfg.metrics.clone(),
+        }
+        .spawn("query", emitter)?;
 
         let mut mon = Monitor {
             cfg,
@@ -396,16 +344,13 @@ impl OnlineSession {
             started,
             dot_buffer: String::new(),
             used_dot: None,
-            scene: None,
-            space: None,
-            map: TraceDotMap::default(),
-            trace_writer: TraceWriter::create(&cfg.trace_path).map_err(SessionError::from)?,
+            view: None,
+            trace_writer: TraceWriter::create(&cfg.trace_path)?,
             events: Vec::new(),
             sample: SampleBuffer::new(cfg.sample_capacity),
             edt: EventDispatchThread::new(cfg.pacing_ms),
             threshold: cfg.threshold_usec.map(ThresholdColoring::new),
             progress: ProgressModel::new(&plan),
-            last_states: HashMap::new(),
             saw_eot: false,
             lost_gaps: Vec::new(),
             garbled_lines: 0,
@@ -431,10 +376,7 @@ impl OnlineSession {
         // Join first: the emitter drops with the query thread, which
         // flushes delayed datagrams and closes an in-memory link so the
         // drain below sees every straggler and every gap report.
-        let result_rows = query_thread
-            .join()
-            .map_err(|_| SessionError::new("query thread panicked"))?
-            .map_err(SessionError::new)?;
+        let result_rows = query_thread.join()?;
         if chaos_link.is_none() {
             // Real UDP: give in-flight loopback datagrams a beat, then
             // stop the listener (which flushes reassembly buffers and
@@ -459,41 +401,38 @@ impl OnlineSession {
         mon.trace_writer.flush()?;
         // Dot stream never completed usably? Fall back to the local
         // compile so the session still renders.
-        if mon.space.is_none() {
-            mon.dot_degraded = true;
+        if mon.view.is_none() {
             mon.adopt_dot(String::new())?;
         }
         let synthesized_dones = mon.converge()?;
 
         let transport = steth.transport_stats();
         let chaos_report = chaos_link.as_ref().map(|l| l.report());
-        let session_metrics = mon.metrics.clone();
         let Monitor {
             used_dot,
-            scene,
-            space,
-            map,
+            view,
             events,
             mut edt,
             threshold,
             progress,
-            saw_eot: _,
             lost_gaps,
             garbled_lines,
             dot_degraded,
             sample,
+            metrics,
             ..
         } = mon;
-        let mut space = space.ok_or_else(|| SessionError::new("no dot file available"))?;
-        let scene = scene.expect("scene set with space");
+        let PlanView {
+            scene,
+            mut space,
+            map,
+            ..
+        } = view.expect("dot adopted above");
         // Drain the EDT so the final frame shows every landed color.
-        let ops = edt.flush();
-        for d in &ops {
-            space.glyph_mut(d.op.glyph).color = d.op.color;
-        }
+        edt.advance_into(u64::MAX, &mut space);
         // Settle the gauges on the session's final state so a scrape
         // after the run reads the converged picture.
-        if let Some(m) = &session_metrics {
+        if let Some(m) = &metrics {
             m.edt_queue_depth.set(edt.backlog() as f64);
             m.set_progress(&progress.snapshot());
         }

@@ -1,0 +1,140 @@
+//! Building blocks shared by the online, offline and multi-server modes:
+//! the plan view every mode paints on, and the "mserver" query thread.
+
+use std::collections::HashMap;
+use std::sync::Arc;
+use std::thread::JoinHandle;
+
+use stetho_dot::Graph;
+use stetho_engine::{Catalog, ExecOptions, Interpreter, ProfilerConfig, UdpSink};
+use stetho_layout::{layout, parse_svg, write_svg, LayoutOptions, SceneGraph};
+use stetho_mal::Plan;
+use stetho_profiler::{ProfilerEmitter, TraceEvent};
+use stetho_zvtm::{EventDispatchThread, VirtualSpace};
+
+use crate::color::{ColorState, PairElision};
+use crate::mapping::TraceDotMap;
+use crate::session::SessionError;
+
+/// A laid-out plan and the colors painted on it: the dot → layout → SVG
+/// → scene → glyph space + pc map pipeline, and the one policy for what a
+/// node looks like after a coloring round.
+pub struct PlanView {
+    /// The laid-out scene (product of the dot → svg → graph pipeline).
+    pub scene: SceneGraph,
+    /// The glyph canvas.
+    pub space: VirtualSpace,
+    /// pc ↔ node ↔ glyph resolution.
+    pub map: TraceDotMap,
+    /// Non-`Uncolored` states as last enqueued on the EDT.
+    painted: HashMap<usize, ColorState>,
+}
+
+impl PlanView {
+    /// Run the shared pipeline on a parsed dot graph.
+    pub(crate) fn build(graph: &Graph) -> Result<Self, SessionError> {
+        let laid = layout(graph, &LayoutOptions::default());
+        let scene =
+            parse_svg(&write_svg(&laid)).map_err(|e| SessionError::new(format!("svg: {e}")))?;
+        let (space, node_glyphs) = VirtualSpace::from_scene(&scene);
+        let mut map = TraceDotMap::from_scene(&scene);
+        map.attach_glyphs(&node_glyphs);
+        Ok(PlanView {
+            scene,
+            space,
+            map,
+            painted: HashMap::new(),
+        })
+    }
+
+    /// Color `window` with pair-elision and enqueue on `edt` a fill for
+    /// every node whose state differs from what is painted — including
+    /// reverts to the default fill for nodes that elided or left the
+    /// window.
+    pub(crate) fn paint(
+        &mut self,
+        window: &[TraceEvent],
+        edt: &mut EventDispatchThread,
+        now_ms: u64,
+    ) {
+        for c in PairElision.diff(window, &self.painted) {
+            if let Some(g) = self.map.shape_of_pc(c.pc) {
+                edt.enqueue(g, c.state.fill(), now_ms);
+            }
+            if c.state == ColorState::Uncolored {
+                self.painted.remove(&c.pc);
+            } else {
+                self.painted.insert(c.pc, c.state);
+            }
+        }
+    }
+
+    /// The state last painted on a node.
+    pub(crate) fn state(&self, pc: usize) -> ColorState {
+        *self.painted.get(&pc).unwrap_or(&ColorState::Uncolored)
+    }
+}
+
+/// One query to run on an engine instance: optionally send the dot text,
+/// execute with the profiler streaming over a [`UdpSink`], then send
+/// end-of-trace.
+pub(crate) struct Server {
+    pub catalog: Arc<Catalog>,
+    pub plan: Plan,
+    /// Dot text sent before execution begins, if any.
+    pub dot: Option<String>,
+    /// Engine worker threads (0 or 1 = sequential interpreter).
+    pub workers: usize,
+    pub metrics: Option<Arc<stetho_obsv::Registry>>,
+}
+
+/// A running [`Server`] thread.
+pub(crate) struct ServerHandle {
+    name: String,
+    thread: JoinHandle<Result<usize, SessionError>>,
+}
+
+impl Server {
+    /// Run the query in a thread named `mserver-<name>`, streaming over
+    /// `emitter`. The emitter drops with the thread, which flushes and
+    /// closes an in-memory link.
+    pub(crate) fn spawn(
+        self,
+        name: &str,
+        emitter: ProfilerEmitter,
+    ) -> Result<ServerHandle, SessionError> {
+        let thread = std::thread::Builder::new()
+            .name(format!("mserver-{name}"))
+            .spawn(move || -> Result<usize, SessionError> {
+                if let Some(dot) = &self.dot {
+                    emitter.send_dot(&self.plan.name, dot)?;
+                }
+                let sink = UdpSink::new(emitter);
+                let profiler = ProfilerConfig::to_sink(sink.clone());
+                let mut opts = if self.workers > 1 {
+                    ExecOptions::parallel(self.workers, profiler)
+                } else {
+                    ExecOptions::profiled(profiler)
+                };
+                opts.metrics = self.metrics;
+                let out = Interpreter::new(self.catalog)
+                    .execute(&self.plan, &opts)
+                    .map_err(|e| SessionError::new(e.to_string()))?;
+                sink.emitter().send_end_of_trace()?;
+                Ok(out.result.map(|r| r.rows()).unwrap_or(0))
+            })?;
+        Ok(ServerHandle {
+            name: name.to_string(),
+            thread,
+        })
+    }
+}
+
+impl ServerHandle {
+    /// Wait for the query; yields its result row count.
+    pub(crate) fn join(self) -> Result<usize, SessionError> {
+        self.thread
+            .join()
+            .map_err(|_| SessionError::new(format!("{}: query thread panicked", self.name)))?
+    }
+}

@@ -50,34 +50,36 @@ impl TraceFile {
         w.flush()
     }
 
-    /// Read all events "in a sequential manner" (§4). Unparseable lines
-    /// are returned as errors with their line number; blank lines are
-    /// skipped.
+    /// Read all events "in a sequential manner" (§4); see [`read_events`].
     pub fn read(&self) -> io::Result<Vec<TraceEvent>> {
-        let r = BufReader::new(File::open(&self.path)?);
-        let mut events = Vec::new();
-        for (i, line) in r.lines().enumerate() {
-            let line = line?;
-            if line.trim().is_empty() {
-                continue;
-            }
-            let e = parse_event(&line).map_err(|e| {
-                io::Error::new(io::ErrorKind::InvalidData, format!("line {}: {e}", i + 1))
-            })?;
-            events.push(e);
-        }
-        Ok(events)
+        self.read_filtered(&FilterOptions::all())
     }
 
     /// Read only events passing `filter` — "flexible options for filtering
     /// of execution traces" applied at load time.
     pub fn read_filtered(&self, filter: &FilterOptions) -> io::Result<Vec<TraceEvent>> {
-        Ok(self
-            .read()?
-            .into_iter()
-            .filter(|e| filter.accepts(e))
-            .collect())
+        read_events(BufReader::new(File::open(&self.path)?), filter)
     }
+}
+
+/// Parse trace text line by line, keeping the events that pass `filter`.
+/// Blank lines are skipped; an unparseable line is an
+/// [`io::ErrorKind::InvalidData`] error naming its 1-based line number.
+pub fn read_events(r: impl BufRead, filter: &FilterOptions) -> io::Result<Vec<TraceEvent>> {
+    let mut events = Vec::new();
+    for (i, line) in r.lines().enumerate() {
+        let line = line?;
+        if line.trim().is_empty() {
+            continue;
+        }
+        let e = parse_event(&line).map_err(|e| {
+            io::Error::new(io::ErrorKind::InvalidData, format!("line {}: {e}", i + 1))
+        })?;
+        if filter.accepts(&e) {
+            events.push(e);
+        }
+    }
+    Ok(events)
 }
 
 /// An incremental writer that keeps the file handle open; used by the

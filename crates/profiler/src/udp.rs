@@ -457,7 +457,6 @@ pub struct TextualStethoscope {
     filters: Arc<Mutex<HashMap<SocketAddr, FilterOptions>>>,
     default_filter: Arc<Mutex<FilterOptions>>,
     counters: Arc<TransportCounters>,
-    reorder_window: usize,
     ring_capacity: usize,
     handle: Option<JoinHandle<()>>,
 }
@@ -483,7 +482,6 @@ impl TextualStethoscope {
             filters: Arc::new(Mutex::new(HashMap::new())),
             default_filter: Arc::new(Mutex::new(FilterOptions::all())),
             counters: Arc::new(TransportCounters::default()),
-            reorder_window: DEFAULT_REORDER_WINDOW,
             ring_capacity: DEFAULT_RING_CAPACITY,
             handle: None,
         }
@@ -498,12 +496,6 @@ impl TextualStethoscope {
                 "in-memory stethoscope has no socket address",
             )),
         }
-    }
-
-    /// Set the per-source reorder window (frames buffered before a gap
-    /// is declared). Takes effect at [`TextualStethoscope::start`].
-    pub fn set_reorder_window(&mut self, window: usize) {
-        self.reorder_window = window.max(1);
     }
 
     /// Set the bounded ring capacity between the socket thread and the
@@ -541,7 +533,7 @@ impl TextualStethoscope {
         self.running.store(true, Ordering::SeqCst);
         let running = Arc::clone(&self.running);
         let decoder = StreamDecoder::with_shared(
-            self.reorder_window,
+            DEFAULT_REORDER_WINDOW,
             Arc::clone(&self.filters),
             Arc::clone(&self.default_filter),
             Arc::clone(&self.counters),

@@ -115,7 +115,7 @@ fn main() {
     for &(_, pc) in slowest.iter().take(3) {
         dbg.watch(pc);
     }
-    println!("\n{}", dbg.render(&session.map, &session.replay));
+    println!("\n{}", dbg.render(&session.view.map, &session.replay));
 
     // Filtered reload (§3 feature 4): algebra module only.
     let filter = FilterOptions::all().with_module("algebra");

@@ -62,7 +62,7 @@ fn main() {
     let mut session = OfflineSession::load_text(&dot, &trace.join("\n")).expect("session loads");
     println!(
         "=== Stethoscope ===\nplan graph: {} nodes, {} edges; trace: {} events",
-        session.scene.nodes.len(),
+        session.view.scene.nodes.len(),
         session.graph.edge_count(),
         session.replay.len()
     );

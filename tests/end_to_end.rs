@@ -3,10 +3,10 @@
 
 use std::sync::Arc;
 
-use stethoscope::core::{OfflineSession, OnlineConfig, OnlineSession};
+use stethoscope::core::{ColorState, OfflineSession, OnlineConfig, OnlineSession};
 use stethoscope::dot::{parse_dot, plan_to_dot, LabelStyle};
 use stethoscope::engine::{ExecOptions, Interpreter, ProfilerConfig, QueryResult, VecSink};
-use stethoscope::profiler::{format_event, EventStatus};
+use stethoscope::profiler::{format_event, ChaosConfig, EventStatus};
 use stethoscope::sql::{compile_with, CompileOptions};
 use stethoscope::tpch::{generate_catalog, queries, TpchConfig};
 
@@ -111,7 +111,7 @@ fn offline_session_over_real_query_artifacts() {
     let dot = plan_to_dot(&plan, LabelStyle::FullStatement);
     let trace: Vec<String> = events.iter().map(format_event).collect();
     let mut s = OfflineSession::load_text(&dot, &trace.join("\n")).unwrap();
-    assert_eq!(s.scene.nodes.len(), plan.len());
+    assert_eq!(s.view.scene.nodes.len(), plan.len());
 
     // Walk the whole trace step by step, then verify every instruction
     // completed.
@@ -142,25 +142,62 @@ fn offline_replay_rewind_matches_fresh_session() {
     }
 }
 
-#[test]
-fn online_session_matches_offline_analysis() {
-    let cat = catalog();
-    let cfg = OnlineConfig {
-        pacing_ms: 0,
-        partitions: 2,
-        workers: 2,
-        ..Default::default()
-    };
-    let out = OnlineSession::run(Arc::clone(&cat), queries::Q6, &cfg).unwrap();
-    // The trace file the monitor wrote can be replayed offline and gives
-    // the same event sequence.
-    let offline = OfflineSession::load_files(&cfg.dot_path, &cfg.trace_path).unwrap();
+/// Replay the dot and trace files an online session wrote: same event
+/// sequence, and after running to the end and draining the EDT, every
+/// node's state and glyph fill equal the session's final colors.
+/// Returns the trace length.
+fn assert_offline_replay_matches(sql: &str, cfg: &OnlineConfig) -> usize {
+    let out = OnlineSession::run(catalog(), sql, cfg).unwrap();
+    let mut offline = OfflineSession::load_files(&cfg.dot_path, &cfg.trace_path).unwrap();
+    std::fs::remove_file(&cfg.dot_path).ok();
+    std::fs::remove_file(&cfg.trace_path).ok();
     assert_eq!(offline.replay.len(), out.events.len());
     for (a, b) in offline.replay.events().iter().zip(&out.events) {
         assert_eq!(a, b);
     }
-    std::fs::remove_file(&cfg.dot_path).ok();
-    std::fs::remove_file(&cfg.trace_path).ok();
+    offline.run_to_end();
+    while offline.edt.backlog() > 0 {
+        offline.advance_ms(10_000);
+    }
+    for pc in 0..out.plan.len() {
+        let state = out
+            .final_states
+            .get(&pc)
+            .copied()
+            .unwrap_or(ColorState::Uncolored);
+        assert_eq!(offline.node_state(pc), state, "pc {pc}");
+        let glyph = offline.view.map.shape_of_pc(pc).expect("node per pc");
+        assert_eq!(
+            offline.view.space.glyph(glyph).color,
+            state.fill(),
+            "pc {pc} fill"
+        );
+    }
+    out.events.len()
+}
+
+#[test]
+fn online_session_matches_offline_analysis() {
+    let _ = assert_offline_replay_matches(
+        queries::Q6,
+        &OnlineConfig {
+            pacing_ms: 0,
+            partitions: 2,
+            workers: 2,
+            ..Default::default()
+        },
+    );
+    let cfg = OnlineConfig {
+        pacing_ms: 0,
+        partitions: 8,
+        chaos: Some(ChaosConfig::clean(8)),
+        ..Default::default()
+    };
+    let len = assert_offline_replay_matches(queries::Q1, &cfg);
+    assert!(
+        len > cfg.sample_capacity,
+        "trace outgrows the sample window"
+    );
 }
 
 #[test]
