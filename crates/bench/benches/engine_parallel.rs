@@ -5,7 +5,7 @@
 //! amortises scheduling. Also contains the candidates-vs-mask ablation
 //! (`ablate_candidates`) on the engine's selection design, and the
 //! slice-scaling probe showing `algebra.slice` is O(1) under shared
-//! buffers.
+//! buffers, and the string kernels of Q1's serial tail (`str_kernels`).
 //!
 //! Every mean measured here is upserted into the `BENCH_engine.json`
 //! ledger at the repository root. "Before" rows run with
@@ -237,6 +237,83 @@ fn bench_ablate_candidates(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_str_kernels(c: &mut Criterion) {
+    // The serial string tail of a Q1 mitosis plan at SF 0.05: the
+    // selection's candidate list (not dense) split into 8 partitions,
+    // each partition projected through it, the parts packed back, then
+    // grouped. `pack8_int` packs an int column of the same shape, the
+    // yardstick the CI gate holds `pack8` to.
+    let cat = catalog(0.05);
+    let ctx = ExecCtx::new(std::sync::Arc::clone(&cat));
+    let exec = |m: &str, f: &str, args: &[RuntimeValue]| ops::execute(m, f, args, &ctx).unwrap();
+    let column = |name: &str| RuntimeValue::Bat(cat.column("lineitem", name).unwrap());
+    let rows = cat.table("lineitem").unwrap().rows();
+    let cand = exec(
+        "algebra",
+        "thetaselect",
+        &[
+            column("l_shipdate"),
+            RuntimeValue::bat(Bat::dense_oids(rows)),
+            RuntimeValue::Scalar(Value::Date(10_471)), // 1998-09-02
+            RuntimeValue::Scalar(Value::Str("<=".into())),
+        ],
+    )
+    .remove(0);
+    let cand_bat = cand.as_bat("cand").unwrap();
+    let step = cand_bat.len().div_ceil(8);
+    let partitioned = |name: &str| -> Vec<RuntimeValue> {
+        (0..8)
+            .map(|p| {
+                let part = RuntimeValue::bat(cand_bat.slice(p * step, (p + 1) * step));
+                exec("algebra", "projection", &[part, column(name)]).remove(0)
+            })
+            .collect()
+    };
+    let flag_parts = partitioned("l_returnflag");
+    let int_parts = partitioned("l_quantity");
+    let flags = exec("mat", "pack", &flag_parts).remove(0);
+    let status = exec("mat", "pack", &partitioned("l_linestatus")).remove(0);
+    let flag_groups = exec("group", "group", std::slice::from_ref(&flags)).remove(0);
+
+    let mut group = c.benchmark_group("engine/str_kernels");
+    group.sample_size(10);
+    group.bench_function("pack8", |b| {
+        b.iter(|| {
+            exec("mat", "pack", &flag_parts)[0]
+                .as_bat("t")
+                .unwrap()
+                .len()
+        })
+    });
+    group.bench_function("pack8_int", |b| {
+        b.iter(|| {
+            exec("mat", "pack", &int_parts)[0]
+                .as_bat("t")
+                .unwrap()
+                .len()
+        })
+    });
+    group.bench_function("group", |b| {
+        b.iter(|| exec("group", "group", std::slice::from_ref(&flags)).len())
+    });
+    group.bench_function("subgroup", |b| {
+        b.iter(|| exec("group", "subgroup", &[status.clone(), flag_groups.clone()]).len())
+    });
+    group.bench_function("projection", |b| {
+        b.iter(|| {
+            exec(
+                "algebra",
+                "projection",
+                &[cand.clone(), column("l_returnflag")],
+            )[0]
+            .as_bat("t")
+            .unwrap()
+            .len()
+        })
+    });
+    group.finish();
+}
+
 /// Map one criterion report path to its ledger descriptor fields.
 fn describe(name: &str) -> Vec<(String, serde_json::Value)> {
     let mut fields: Vec<(String, serde_json::Value)> = Vec::new();
@@ -288,6 +365,11 @@ fn describe(name: &str) -> Vec<(String, serde_json::Value)> {
             push("bench", text("ablate_candidates"));
             push("strategy", text(strategy));
         }
+        ["engine", "str_kernels", kernel] => {
+            push("bench", text("str_kernels"));
+            push("kernel", text(kernel));
+            push("sf", num(0.05));
+        }
         ["engine", "profiling_overhead", profiler] => {
             push("bench", text("profiling_overhead"));
             push("profiler", text(profiler));
@@ -322,7 +404,7 @@ criterion_group! {
     name = benches;
     config = Criterion::default();
     targets = bench_parallel_speedup, bench_slice_scaling, bench_profiling_overhead,
-              bench_metrics_overhead, bench_ablate_candidates
+              bench_metrics_overhead, bench_ablate_candidates, bench_str_kernels
 }
 
 fn main() {

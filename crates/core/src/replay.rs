@@ -61,7 +61,8 @@ pub struct ReplayController {
     clock: f64,
     play: PlayState,
     nodes: HashMap<usize, NodeRuntime>,
-    /// Snapshots of `nodes` every `snapshot_every` events for rewind.
+    /// Snapshots of `nodes` every `snapshot_every` events for rewind: at
+    /// most one per position, sorted by position, the first at 0.
     snapshots: Vec<(usize, HashMap<usize, NodeRuntime>)>,
     snapshot_every: usize,
 }
@@ -180,15 +181,21 @@ impl ReplayController {
             return None;
         }
         let idx = self.cursor;
-        // Split-borrow: update state from an owned copy of the event.
-        let e = self.events[idx].clone();
-        apply(&mut self.nodes, &e);
+        self.advance();
+        self.clock = self.events[idx].clk as f64;
+        Some(&self.events[idx])
+    }
+
+    /// Apply the event under the cursor and move past it, snapshotting at
+    /// every `snapshot_every`-th position not snapshotted yet. Replays
+    /// after a rewind cross positions that already have one.
+    fn advance(&mut self) {
+        apply(&mut self.nodes, &self.events[self.cursor]);
         self.cursor += 1;
-        self.clock = e.clk as f64;
-        if self.cursor.is_multiple_of(self.snapshot_every) {
+        let last = self.snapshots.last().map_or(0, |(at, _)| *at);
+        if self.cursor.is_multiple_of(self.snapshot_every) && self.cursor > last {
             self.snapshots.push((self.cursor, self.nodes.clone()));
         }
-        Some(&self.events[idx])
     }
 
     /// Undo the previous event; returns the new cursor. Rewind restores
@@ -209,16 +216,12 @@ impl ReplayController {
             }
             return;
         }
-        // Backward: restore nearest snapshot at or before target.
-        let (at, snap) = self
-            .snapshots
-            .iter()
-            .rev()
-            .find(|(at, _)| *at <= target)
-            .expect("snapshot at 0 always exists")
-            .clone();
-        self.nodes = snap;
-        self.cursor = at;
+        // Backward: restore the nearest snapshot at or before target. The
+        // snapshot at 0 always exists, so the partition point is >= 1.
+        let i = self.snapshots.partition_point(|(at, _)| *at <= target) - 1;
+        let (at, snap) = &self.snapshots[i];
+        self.cursor = *at;
+        self.nodes = snap.clone();
         while self.cursor < target {
             self.step_forward();
         }
@@ -259,12 +262,7 @@ impl ReplayController {
         while self.cursor < self.events.len() && (self.events[self.cursor].clk as f64) <= self.clock
         {
             applied.push(self.cursor);
-            let e = self.events[self.cursor].clone();
-            apply(&mut self.nodes, &e);
-            self.cursor += 1;
-            if self.cursor.is_multiple_of(self.snapshot_every) {
-                self.snapshots.push((self.cursor, self.nodes.clone()));
-            }
+            self.advance();
         }
         if self.at_end() {
             self.play = PlayState::Paused;
@@ -371,6 +369,35 @@ mod tests {
         rc.seek(900);
         assert_eq!(rc.node(449), s900, "seek back reproduces state");
         assert_eq!(rc.position(), 900);
+    }
+
+    #[test]
+    fn snapshots_stay_one_per_position_across_seeks() {
+        // 2602 events, the size of the offline step-through trace.
+        let events = trace(1301);
+        let len = events.len();
+        let mut rc = ReplayController::new(events.clone());
+        while rc.step_forward().is_some() {}
+        let mut seed = 0x5eed_u64;
+        for _ in 0..64 {
+            seed = seed
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let target = (seed >> 33) as usize % (len + 1);
+            rc.seek(target);
+            let mut fresh = ReplayController::new(events.clone());
+            fresh.seek(target);
+            assert_eq!(rc.position(), target);
+            assert_eq!(rc.nodes(), fresh.nodes(), "seek to {target}");
+        }
+        // Playing forward again crosses every snapshot position once more.
+        rc.rewind();
+        rc.play(1e9);
+        rc.tick(1.0);
+        assert!(rc.at_end());
+        assert_eq!(rc.snapshots.len(), len / 256 + 1);
+        let at: Vec<usize> = rc.snapshots.iter().map(|(at, _)| *at).collect();
+        assert_eq!(at, (0..=len / 256).map(|k| k * 256).collect::<Vec<_>>());
     }
 
     #[test]

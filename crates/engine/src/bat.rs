@@ -11,11 +11,20 @@
 //! adjacent views over the same buffer (the `mat.pack` of a partitioned
 //! pipeline) just widens the window. Mutation (`bat.append` with new data,
 //! `gather`, kernels producing fresh columns) allocates a new buffer —
-//! copy-on-write at buffer granularity. String tails intern their values as
-//! `Arc<str>`, so projecting or packing a string column moves refcounts,
-//! never bytes.
+//! copy-on-write at buffer granularity.
+//!
+//! String tails are dictionary-encoded: a `u32` code per row plus a shared
+//! dictionary of distinct `Arc<str>` values. Slicing shares both buffers;
+//! projecting gathers 4-byte codes and shares the dictionary; packing parts
+//! that share one dictionary concatenates codes. No per-row refcount is
+//! touched on any of these paths. Codes are only meaningful within their
+//! own dictionary: kernels may compare codes of two columns only when both
+//! read the same dictionary allocation ([`StrView::same_dict`]), and compare
+//! string values otherwise.
 
-use std::ops::Range;
+use std::collections::HashMap;
+use std::fmt;
+use std::ops::{Index, Range};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -50,7 +59,7 @@ pub enum ColumnData {
     Int(Vec<i64>),
     /// Doubles.
     Dbl(Vec<f64>),
-    /// Strings, interned as shared `Arc<str>` values.
+    /// Strings; dictionary-encoded when frozen into a `Bat`.
     Str(Vec<Arc<str>>),
     /// Oids — candidate lists and join results.
     Oid(Vec<u64>),
@@ -112,7 +121,14 @@ enum Buffer {
     Bit(Arc<[bool]>),
     Int(Arc<[i64]>),
     Dbl(Arc<[f64]>),
-    Str(Arc<[Arc<str>]>),
+    /// Dictionary-encoded strings: row `i` holds `dict[codes[i]]`, and every
+    /// entry of `dict` is distinct. `dict_bytes` is the dictionary's
+    /// footprint, summed once when it is built.
+    Str {
+        codes: Arc<[u32]>,
+        dict: Arc<[Arc<str>]>,
+        dict_bytes: usize,
+    },
     Oid(Arc<[u64]>),
     Date(Arc<[i32]>),
 }
@@ -123,7 +139,7 @@ impl Buffer {
             Buffer::Bit(_) => MalType::Bit,
             Buffer::Int(_) => MalType::Int,
             Buffer::Dbl(_) => MalType::Dbl,
-            Buffer::Str(_) => MalType::Str,
+            Buffer::Str { .. } => MalType::Str,
             Buffer::Oid(_) => MalType::Oid,
             Buffer::Date(_) => MalType::Date,
         }
@@ -136,7 +152,7 @@ impl Buffer {
             (Buffer::Bit(a), Buffer::Bit(b)) => Arc::ptr_eq(a, b),
             (Buffer::Int(a), Buffer::Int(b)) => Arc::ptr_eq(a, b),
             (Buffer::Dbl(a), Buffer::Dbl(b)) => Arc::ptr_eq(a, b),
-            (Buffer::Str(a), Buffer::Str(b)) => Arc::ptr_eq(a, b),
+            (Buffer::Str { codes: a, .. }, Buffer::Str { codes: b, .. }) => Arc::ptr_eq(a, b),
             (Buffer::Oid(a), Buffer::Oid(b)) => Arc::ptr_eq(a, b),
             (Buffer::Date(a), Buffer::Date(b)) => Arc::ptr_eq(a, b),
             _ => false,
@@ -150,16 +166,121 @@ impl From<ColumnData> for Buffer {
             ColumnData::Bit(v) => Buffer::Bit(v.into()),
             ColumnData::Int(v) => Buffer::Int(v.into()),
             ColumnData::Dbl(v) => Buffer::Dbl(v.into()),
-            ColumnData::Str(v) => Buffer::Str(v.into()),
+            ColumnData::Str(v) => encode(&v, Arc::clone),
             ColumnData::Oid(v) => Buffer::Oid(v.into()),
             ColumnData::Date(v) => Buffer::Date(v.into()),
         }
     }
 }
 
+/// Bytes charged per dictionary entry beyond its text (the `Arc` header and
+/// the fat pointer to it).
+const STR_OVERHEAD: usize = 24;
+
+/// Dictionary-encode strings: one `u32` code per value and one `Arc<str>`
+/// per *distinct* value, made by `intern` from its first occurrence. The
+/// map hashes borrowed `&str`s with std's hasher (a weak hasher collides on
+/// keys like `Customer#000000001…`).
+fn encode<S: AsRef<str>>(values: &[S], intern: impl Fn(&S) -> Arc<str>) -> Buffer {
+    let mut ids: HashMap<&str, u32> = HashMap::with_capacity(values.len().min(1 << 12));
+    let mut dict = Vec::new();
+    let codes: Vec<u32> = values
+        .iter()
+        .map(|v| {
+            *ids.entry(v.as_ref()).or_insert_with(|| {
+                dict.push(intern(v));
+                u32::try_from(dict.len() - 1).expect("fewer than 2^32 distinct strings")
+            })
+        })
+        .collect();
+    Buffer::Str {
+        codes: codes.into(),
+        dict_bytes: dict.iter().map(|s| s.len() + STR_OVERHEAD).sum(),
+        dict: dict.into(),
+    }
+}
+
+/// Borrowed window of a dictionary-encoded string column: `codes` index
+/// `dict`. Indexing yields the row's `Arc<str>`; equality compares values,
+/// never codes.
+#[derive(Clone, Copy)]
+pub struct StrView<'a> {
+    codes: &'a [u32],
+    dict: &'a [Arc<str>],
+}
+
+impl<'a> StrView<'a> {
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.codes.len()
+    }
+
+    /// True when empty.
+    pub fn is_empty(&self) -> bool {
+        self.codes.is_empty()
+    }
+
+    /// The value at row `i`, if in range.
+    pub fn get(&self, i: usize) -> Option<&'a Arc<str>> {
+        self.codes.get(i).map(|&c| &self.dict[c as usize])
+    }
+
+    /// The string at row `i`, borrowed for the view's lifetime. Panics when
+    /// out of range, like indexing.
+    pub fn at(&self, i: usize) -> &'a str {
+        &self.dict[self.codes[i] as usize]
+    }
+
+    /// Row values in order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &'a Arc<str>> + 'a {
+        let dict = self.dict;
+        self.codes.iter().map(move |&c| &dict[c as usize])
+    }
+
+    /// Per-row dictionary codes.
+    pub fn codes(&self) -> &'a [u32] {
+        self.codes
+    }
+
+    /// The dictionary: distinct values, indexed by code. It may hold values
+    /// no row of this window uses.
+    pub fn dict(&self) -> &'a [Arc<str>] {
+        self.dict
+    }
+
+    /// True when both views read one dictionary allocation — the only case
+    /// in which their codes may be compared with each other.
+    pub fn same_dict(&self, other: &StrView<'_>) -> bool {
+        std::ptr::eq(self.dict, other.dict)
+    }
+}
+
+impl Index<usize> for StrView<'_> {
+    type Output = Arc<str>;
+
+    fn index(&self, i: usize) -> &Arc<str> {
+        &self.dict[self.codes[i] as usize]
+    }
+}
+
+impl PartialEq for StrView<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        if self.same_dict(other) {
+            self.codes == other.codes
+        } else {
+            self.len() == other.len() && self.iter().eq(other.iter())
+        }
+    }
+}
+
+impl fmt::Debug for StrView<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 /// Borrowed, already-windowed view of a BAT's tail values — what kernels
-/// match on. String tails expose `Arc<str>` elements so cloning a value is
-/// a refcount bump, not a byte copy.
+/// match on.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ColumnView<'a> {
     /// Booleans.
@@ -168,8 +289,8 @@ pub enum ColumnView<'a> {
     Int(&'a [i64]),
     /// Doubles.
     Dbl(&'a [f64]),
-    /// Interned strings.
-    Str(&'a [Arc<str>]),
+    /// Dictionary-encoded strings.
+    Str(StrView<'a>),
     /// Oids.
     Oid(&'a [u64]),
     /// Dates, days since epoch.
@@ -276,14 +397,20 @@ impl Bat {
         Bat::new(ColumnData::Dbl(v))
     }
 
-    /// Str column shorthand; interns each value behind an `Arc`.
+    /// Str column shorthand; one `Arc<str>` per distinct value.
     pub fn strs(v: Vec<String>) -> Self {
-        Bat::new(ColumnData::Str(v.into_iter().map(Arc::from).collect()))
+        Bat::strs_ref(&v)
     }
 
-    /// Str column from already-interned values.
-    pub fn strs_shared(v: Vec<Arc<str>>) -> Self {
-        Bat::new(ColumnData::Str(v))
+    /// Str column from borrowed strings; one `Arc<str>` per distinct value.
+    pub fn strs_ref<S: AsRef<str>>(v: &[S]) -> Self {
+        Bat {
+            buf: encode(v, |s| Arc::from(s.as_ref())),
+            off: 0,
+            len: v.len(),
+            sorted: false,
+            dense: false,
+        }
     }
 
     /// Date column shorthand.
@@ -339,7 +466,10 @@ impl Bat {
             Buffer::Bit(v) => ColumnView::Bit(window!(v, self)),
             Buffer::Int(v) => ColumnView::Int(window!(v, self)),
             Buffer::Dbl(v) => ColumnView::Dbl(window!(v, self)),
-            Buffer::Str(v) => ColumnView::Str(window!(v, self)),
+            Buffer::Str { codes, dict, .. } => ColumnView::Str(StrView {
+                codes: window!(codes, self),
+                dict,
+            }),
             Buffer::Oid(v) => ColumnView::Oid(window!(v, self)),
             Buffer::Date(v) => ColumnView::Date(window!(v, self)),
         }
@@ -430,8 +560,8 @@ impl Bat {
         }
     }
 
-    /// Interned-string slice view.
-    pub fn as_strs(&self) -> Result<&[Arc<str>]> {
+    /// Dictionary-encoded string view.
+    pub fn as_strs(&self) -> Result<StrView<'_>> {
         match self.view() {
             ColumnView::Str(v) => Ok(v),
             other => Err(EngineError::TypeMismatch {
@@ -465,15 +595,30 @@ impl Bat {
 
     /// Approximate heap footprint of the *window* in bytes; feeds the trace
     /// `rss` field. Shared buffers are counted once per view on purpose —
-    /// the estimate tracks reachable, not unique, bytes.
+    /// the estimate tracks reachable, not unique, bytes. A string window is
+    /// its 4-byte codes plus the dictionary it can reach: all of it when the
+    /// window has at least as many rows as the dictionary has entries, else
+    /// a share of `len` average entries. So a small slice or gather of a
+    /// large-dictionary column costs O(1) and counts about its own rows.
     pub fn bytes(&self) -> usize {
+        if let Buffer::Str {
+            dict, dict_bytes, ..
+        } = &self.buf
+        {
+            let reached = match dict.len() {
+                0 => 0,
+                d if self.len >= d => *dict_bytes,
+                d => dict_bytes / d * self.len,
+            };
+            return self.len * 4 + reached;
+        }
         match self.view() {
             ColumnView::Bit(v) => v.len(),
             ColumnView::Int(v) => v.len() * 8,
             ColumnView::Dbl(v) => v.len() * 8,
             ColumnView::Oid(v) => v.len() * 8,
             ColumnView::Date(v) => v.len() * 4,
-            ColumnView::Str(v) => v.iter().map(|s| s.len() + 24).sum(),
+            ColumnView::Str(_) => unreachable!("string windows counted above"),
         }
     }
 
@@ -483,14 +628,14 @@ impl Bat {
             ColumnView::Bit(v) => ColumnData::Bit(v.to_vec()),
             ColumnView::Int(v) => ColumnData::Int(v.to_vec()),
             ColumnView::Dbl(v) => ColumnData::Dbl(v.to_vec()),
-            ColumnView::Str(v) => ColumnData::Str(v.to_vec()),
+            ColumnView::Str(v) => ColumnData::Str(v.iter().cloned().collect()),
             ColumnView::Oid(v) => ColumnData::Oid(v.to_vec()),
             ColumnView::Date(v) => ColumnData::Date(v.to_vec()),
         }
     }
 
     /// Fetch tail values at the given positions (the projection kernel).
-    /// String values are gathered by refcount, not by byte copy.
+    /// Strings gather their codes and share the dictionary.
     pub fn gather(&self, positions: &[u64]) -> Result<Bat> {
         let n = self.len;
         let check = |o: u64| -> Result<usize> {
@@ -515,7 +660,13 @@ impl Bat {
             ColumnView::Bit(v) => pick!(v, ColumnData::Bit, |x: &bool| *x),
             ColumnView::Int(v) => pick!(v, ColumnData::Int, |x: &i64| *x),
             ColumnView::Dbl(v) => pick!(v, ColumnData::Dbl, |x: &f64| *x),
-            ColumnView::Str(v) => pick!(v, ColumnData::Str, |x: &Arc<str>| Arc::clone(x)),
+            ColumnView::Str(v) => {
+                let codes: Vec<u32> = positions
+                    .iter()
+                    .map(|&o| check(o).map(|i| v.codes[i]))
+                    .collect::<Result<_>>()?;
+                return Ok(self.with_codes(codes));
+            }
             ColumnView::Oid(v) => pick!(v, ColumnData::Oid, |x: &u64| *x),
             ColumnView::Date(v) => pick!(v, ColumnData::Date, |x: &i32| *x),
         };
@@ -533,7 +684,9 @@ impl Bat {
     /// then: (a) if every part is a view over the same buffer and the
     /// windows are adjacent in order, returns a widened view without
     /// touching data (the mitosis reassembly fast path); (b) otherwise
-    /// copies all parts into one fresh buffer in a single pass.
+    /// copies all parts into one fresh buffer in a single pass. String
+    /// parts that share one dictionary concatenate their codes; parts
+    /// over different dictionaries are re-encoded into a fresh one.
     pub fn pack(parts: &[Bat]) -> Result<Bat> {
         let Some(first) = parts.first() else {
             return Err(EngineError::Other("mat.pack of zero parts".into()));
@@ -570,6 +723,22 @@ impl Bat {
         }
 
         let total: usize = parts.iter().map(|p| p.len).sum();
+        if let ColumnView::Str(head) = first.view() {
+            let strs = parts.iter().map(|p| match p.view() {
+                ColumnView::Str(v) => v,
+                _ => unreachable!("tail types checked above"),
+            });
+            if strs.clone().all(|v| v.same_dict(&head)) {
+                let mut codes = Vec::with_capacity(total);
+                for v in strs {
+                    codes.extend_from_slice(v.codes);
+                }
+                return Ok(first.with_codes(codes));
+            }
+            return Ok(Bat::new(ColumnData::Str(
+                strs.flat_map(|v| v.iter().cloned()).collect(),
+            )));
+        }
         macro_rules! splice {
             ($ctor:path, $variant:path) => {{
                 let mut out = Vec::with_capacity(total);
@@ -586,7 +755,7 @@ impl Bat {
             ColumnView::Bit(_) => splice!(ColumnData::Bit, ColumnView::Bit),
             ColumnView::Int(_) => splice!(ColumnData::Int, ColumnView::Int),
             ColumnView::Dbl(_) => splice!(ColumnData::Dbl, ColumnView::Dbl),
-            ColumnView::Str(_) => splice!(ColumnData::Str, ColumnView::Str),
+            ColumnView::Str(_) => unreachable!("string parts packed above"),
             ColumnView::Oid(_) => splice!(ColumnData::Oid, ColumnView::Oid),
             ColumnView::Date(_) => splice!(ColumnData::Date, ColumnView::Date),
         };
@@ -606,6 +775,27 @@ impl Bat {
             return out;
         }
         self.slice_view(lo, hi)
+    }
+
+    /// A fresh full-width string BAT of `codes` over this BAT's dictionary.
+    fn with_codes(&self, codes: Vec<u32>) -> Bat {
+        let Buffer::Str {
+            dict, dict_bytes, ..
+        } = &self.buf
+        else {
+            unreachable!("with_codes on a string BAT only")
+        };
+        Bat {
+            len: codes.len(),
+            buf: Buffer::Str {
+                codes: codes.into(),
+                dict: Arc::clone(dict),
+                dict_bytes: *dict_bytes,
+            },
+            off: 0,
+            sorted: false,
+            dense: false,
+        }
     }
 
     fn slice_view(&self, lo: usize, hi: usize) -> Bat {
@@ -667,8 +857,57 @@ mod tests {
         let out = col.gather(&[1, 0, 1]).unwrap();
         let src = col.as_strs().unwrap();
         let dst = out.as_strs().unwrap();
+        assert!(dst.same_dict(&src));
         assert!(Arc::ptr_eq(&dst[0], &src[1]));
         assert!(Arc::ptr_eq(&dst[1], &src[0]));
+        assert_eq!(dst.codes(), &[1, 0, 1]);
+    }
+
+    #[test]
+    fn strings_encode_one_dict_entry_per_distinct_value() {
+        let col = Bat::strs_ref(&["N", "R", "N", "A", "R"]);
+        let v = col.as_strs().unwrap();
+        assert_eq!(v.codes(), &[0, 1, 0, 2, 1]);
+        assert_eq!(v.dict().len(), 3);
+        assert_eq!(&*v[3], "A");
+        assert_eq!(v.at(4), "R");
+        assert_eq!(v.get(5), None);
+        // Interned inputs keep their allocation as the dictionary entry.
+        let a: Arc<str> = Arc::from("x");
+        let shared = Bat::new(ColumnData::Str(vec![Arc::clone(&a), Arc::clone(&a)]));
+        assert!(Arc::ptr_eq(&shared.as_strs().unwrap()[1], &a));
+        assert_eq!(shared.as_strs().unwrap().dict().len(), 1);
+    }
+
+    #[test]
+    fn pack_of_strings_shares_or_reencodes_the_dict() {
+        let col = Bat::strs_ref(&["a", "b", "c", "a"]);
+        let parts = [col.gather(&[3, 1]).unwrap(), col.gather(&[2]).unwrap()];
+        let packed = Bat::pack(&parts).unwrap();
+        assert!(packed.as_strs().unwrap().same_dict(&col.as_strs().unwrap()));
+        assert_eq!(packed, Bat::strs_ref(&["a", "b", "c"]));
+
+        // Different dictionaries, overlapping values in a different order.
+        let other = Bat::strs_ref(&["c", "z", "a"]);
+        let packed = Bat::pack(&[col.clone(), other]).unwrap();
+        let v = packed.as_strs().unwrap();
+        assert!(!v.same_dict(&col.as_strs().unwrap()));
+        assert_eq!(v.dict().len(), 4, "re-encoding keeps values distinct");
+        assert_eq!(packed, Bat::strs_ref(&["a", "b", "c", "a", "c", "z", "a"]));
+    }
+
+    #[test]
+    fn string_equality_compares_values_not_codes() {
+        let x = Bat::strs_ref(&["p", "q", "p"]);
+        let y = Bat::strs_ref(&["q", "p"]);
+        // Same values, different codes.
+        assert_eq!(x.slice(1, 3), y);
+        assert_ne!(x.slice(0, 2), y);
+        assert_ne!(x, y);
+        // Same codes, different values.
+        let z = Bat::strs_ref(&["q", "p", "q"]);
+        assert_eq!(x.as_strs().unwrap().codes(), z.as_strs().unwrap().codes());
+        assert_ne!(x, z);
     }
 
     #[test]
@@ -766,9 +1005,34 @@ mod tests {
     fn bytes_estimates() {
         assert_eq!(Bat::ints(vec![1, 2]).bytes(), 16);
         assert_eq!(Bat::dates(vec![1]).bytes(), 4);
-        assert!(Bat::strs(vec!["abc".into()]).bytes() >= 3);
+        // Codes plus the dictionary, counted once however often a value repeats.
+        let s = Bat::strs_ref(&["abc", "abc", "abc"]);
+        assert_eq!(s.bytes(), 3 * 4 + (3 + 24));
+        assert_eq!(s.slice(0, 1).bytes(), 4 + (3 + 24));
         // The window, not the buffer, is what's counted.
         assert_eq!(Bat::ints(vec![1, 2, 3, 4]).slice(0, 2).bytes(), 16);
+    }
+
+    #[test]
+    fn small_windows_of_a_large_dictionary_count_their_rows() {
+        // 5000 distinct 5-byte values: a window counts one 4-byte code and
+        // one entry per row, whatever the dictionary's size.
+        let col = Bat::strs((0..5000).map(|i| format!("v{i:04}")).collect());
+        let per_row = 4 + 5 + STR_OVERHEAD;
+        let gathered = col.gather(&[4999, 7, 7, 2500]).unwrap();
+        assert!(gathered
+            .as_strs()
+            .unwrap()
+            .same_dict(&col.as_strs().unwrap()));
+        assert_eq!(gathered.bytes(), 4 * per_row);
+        assert_eq!(col.slice(100, 120).bytes(), 20 * per_row);
+        assert_eq!(col.slice(0, 0).bytes(), 0);
+        assert_eq!(col.bytes(), 5000 * per_row);
+        // Eight partitions together count the column once.
+        let parts: usize = (0..8)
+            .map(|k| col.slice(k * 625, (k + 1) * 625).bytes())
+            .sum();
+        assert_eq!(parts, col.bytes());
     }
 
     #[test]

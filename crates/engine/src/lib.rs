@@ -27,7 +27,7 @@ pub mod profile;
 pub mod rt;
 pub mod scheduler;
 
-pub use bat::{force_copy, set_force_copy, Bat, ColumnData, ColumnView};
+pub use bat::{force_copy, set_force_copy, Bat, ColumnData, ColumnView, StrView};
 pub use catalog::{Catalog, ColumnDef, TableDef};
 pub use error::EngineError;
 pub use interp::{ExecOptions, Interpreter};

@@ -473,7 +473,7 @@ fn key_at<'a>(col: &ColumnView<'a>, i: usize) -> Key<'a> {
         ColumnView::Oid(v) => Key::Int(v[i] as i64),
         ColumnView::Date(v) => Key::Int(v[i] as i64),
         ColumnView::Dbl(v) => Key::Bits(v[i].to_bits()),
-        ColumnView::Str(v) => Key::Str(&v[i]),
+        ColumnView::Str(v) => Key::Str(v.at(i)),
         ColumnView::Bit(v) => Key::Bool(v[i]),
     }
 }

@@ -8,11 +8,10 @@
 //! result to double.
 
 use std::ops::Range;
-use std::sync::Arc;
 
 use stetho_mal::Value;
 
-use crate::bat::{Bat, ColumnData, ColumnView};
+use crate::bat::{Bat, ColumnData, ColumnView, StrView};
 use crate::error::EngineError;
 use crate::rt::RuntimeValue;
 use crate::Result;
@@ -312,7 +311,7 @@ fn compare_str(
     cand: Option<&Bat>,
 ) -> Result<Vec<RuntimeValue>> {
     enum S<'a> {
-        V(&'a [Arc<str>]),
+        V(StrView<'a>),
         C(&'a str),
     }
     fn side<'a>(op: &str, v: &'a RuntimeValue) -> Result<S<'a>> {
@@ -354,10 +353,10 @@ fn compare_str(
             })
         }
     };
-    // Borrow, never clone: interned strings compare through the Arc.
+    // Borrow, never clone: strings compare through their dictionary.
     fn at<'a>(s: &S<'a>, i: usize) -> &'a str {
         match s {
-            S::V(v) => &v[i],
+            S::V(v) => v.at(i),
             S::C(c) => c,
         }
     }

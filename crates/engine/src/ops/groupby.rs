@@ -8,23 +8,22 @@
 //!
 //! `group.subgroup(col, groups)` refines an existing grouping with an
 //! additional column (multi-column GROUP BY chains these).
+//!
+//! String columns group on their dictionary codes: within one column every
+//! distinct value has exactly one code, so code equality is value equality.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
 use crate::bat::{Bat, ColumnData, ColumnView};
 use crate::error::EngineError;
 use crate::rt::RuntimeValue;
 use crate::Result;
 
-/// Hashable row-key view over one column. String keys share the column's
-/// interned `Arc<str>` storage — hashing a string group key never copies
-/// the character data.
-#[derive(Hash, PartialEq, Eq, Clone)]
+/// Hashable row key within one column (strings key on their codes).
+#[derive(Hash, PartialEq, Eq, Clone, Copy)]
 enum Key {
     Int(i64),
     Bits(u64),
-    Str(Arc<str>),
     Bool(bool),
 }
 
@@ -34,41 +33,93 @@ fn key_at(col: &ColumnView<'_>, i: usize) -> Key {
         ColumnView::Oid(v) => Key::Int(v[i] as i64),
         ColumnView::Date(v) => Key::Int(v[i] as i64),
         ColumnView::Dbl(v) => Key::Bits(v[i].to_bits()),
-        ColumnView::Str(v) => Key::Str(Arc::clone(&v[i])),
         ColumnView::Bit(v) => Key::Bool(v[i]),
+        ColumnView::Str(v) => Key::Int(v.codes()[i] as i64),
     }
 }
 
-fn group_by_keys(keys: impl Iterator<Item = Key>, n: usize) -> (Vec<u64>, Vec<u64>, Vec<i64>) {
-    let mut ids: HashMap<Key, u64> = HashMap::new();
-    let mut groups = Vec::with_capacity(n);
-    let mut extents = Vec::new();
-    let mut histo: Vec<i64> = Vec::new();
-    for (i, k) in keys.enumerate() {
-        let next = ids.len() as u64;
-        let id = *ids.entry(k).or_insert_with(|| {
-            extents.push(i as u64);
-            histo.push(0);
-            next
-        });
-        histo[id as usize] += 1;
-        groups.push(id);
-    }
-    (groups, extents, histo)
+/// The `(groups, extents, histo)` triple under construction. Group ids
+/// are dense and in order of first occurrence.
+struct Grouping {
+    groups: Vec<u64>,
+    extents: Vec<u64>,
+    histo: Vec<i64>,
 }
 
-/// `group.group(col)`.
+/// Marks a key slot that has no group yet.
+const NO_GROUP: u64 = u64::MAX;
+
+impl Grouping {
+    fn with_rows(n: usize) -> Self {
+        Grouping {
+            groups: Vec::with_capacity(n),
+            extents: Vec::new(),
+            histo: Vec::new(),
+        }
+    }
+
+    /// Add row `i` to the group its key's `slot` holds, opening a new
+    /// group when the slot is still [`NO_GROUP`].
+    fn push(&mut self, i: usize, slot: &mut u64) {
+        if *slot == NO_GROUP {
+            *slot = self.histo.len() as u64;
+            self.extents.push(i as u64);
+            self.histo.push(0);
+        }
+        self.histo[*slot as usize] += 1;
+        self.groups.push(*slot);
+    }
+
+    /// Group rows by integer keys below `bound`: a direct key → id table
+    /// when it is no larger than the input, a hash map otherwise.
+    fn by_bounded_keys(keys: impl Iterator<Item = u64>, bound: u64, n: usize) -> Self {
+        let mut g = Grouping::with_rows(n);
+        if bound <= n.max(1024) as u64 {
+            let mut table = vec![NO_GROUP; bound as usize];
+            for (i, k) in keys.enumerate() {
+                g.push(i, &mut table[k as usize]);
+            }
+        } else {
+            let mut ids: HashMap<u64, u64> = HashMap::new();
+            for (i, k) in keys.enumerate() {
+                g.push(i, ids.entry(k).or_insert(NO_GROUP));
+            }
+        }
+        g
+    }
+
+    fn into_values(self) -> Vec<RuntimeValue> {
+        vec![
+            RuntimeValue::bat(Bat::new(ColumnData::Oid(self.groups))),
+            RuntimeValue::bat(Bat::new(ColumnData::Oid(self.extents))),
+            RuntimeValue::bat(Bat::new(ColumnData::Int(self.histo))),
+        ]
+    }
+}
+
+/// `group.group(col)`. A string column groups on its dictionary codes,
+/// which are distinct per distinct value.
 pub fn group(args: &[RuntimeValue]) -> Result<Vec<RuntimeValue>> {
     let op = "group.group";
     let col = super::one_arg(op, args)?.as_bat(op)?;
     let n = col.len();
     let view = col.view();
-    let (groups, extents, histo) = group_by_keys((0..n).map(|i| key_at(&view, i)), n);
-    Ok(vec![
-        RuntimeValue::bat(Bat::new(ColumnData::Oid(groups))),
-        RuntimeValue::bat(Bat::new(ColumnData::Oid(extents))),
-        RuntimeValue::bat(Bat::new(ColumnData::Int(histo))),
-    ])
+    let g = match view {
+        ColumnView::Str(v) => Grouping::by_bounded_keys(
+            v.codes().iter().map(|&c| c as u64),
+            v.dict().len() as u64,
+            n,
+        ),
+        _ => {
+            let mut g = Grouping::with_rows(n);
+            let mut ids: HashMap<Key, u64> = HashMap::new();
+            for i in 0..n {
+                g.push(i, ids.entry(key_at(&view, i)).or_insert(NO_GROUP));
+            }
+            g
+        }
+    };
+    Ok(g.into_values())
 }
 
 /// `group.subgroup(col, groups)` — refine `groups` by `col`.
@@ -90,30 +141,29 @@ pub fn subgroup(args: &[RuntimeValue]) -> Result<Vec<RuntimeValue>> {
         });
     }
     let n = col.len();
-    // Pair (previous group, this column's key) as the refined key.
-    #[derive(Hash, PartialEq, Eq, Clone)]
-    struct Pair(u64, Key);
-    let mut ids: HashMap<Pair, u64> = HashMap::new();
-    let mut groups = Vec::with_capacity(n);
-    let mut extents = Vec::new();
-    let mut histo: Vec<i64> = Vec::new();
     let view = col.view();
-    for (i, &p) in prev.iter().enumerate().take(n) {
-        let k = Pair(p, key_at(&view, i));
-        let next = ids.len() as u64;
-        let id = *ids.entry(k).or_insert_with(|| {
-            extents.push(i as u64);
-            histo.push(0);
-            next
-        });
-        histo[id as usize] += 1;
-        groups.push(id);
+    // A string column refines on (previous group, code): one integer key
+    // below `(max group + 1) × dict size` when that product fits.
+    if let ColumnView::Str(v) = view {
+        let width = v.dict().len() as u64;
+        let bound = prev
+            .iter()
+            .max()
+            .and_then(|&m| m.checked_add(1)?.checked_mul(width));
+        if let Some(bound) = bound {
+            let keys = prev
+                .iter()
+                .zip(v.codes())
+                .map(|(&p, &c)| p * width + c as u64);
+            return Ok(Grouping::by_bounded_keys(keys, bound, n).into_values());
+        }
     }
-    Ok(vec![
-        RuntimeValue::bat(Bat::new(ColumnData::Oid(groups))),
-        RuntimeValue::bat(Bat::new(ColumnData::Oid(extents))),
-        RuntimeValue::bat(Bat::new(ColumnData::Int(histo))),
-    ])
+    let mut g = Grouping::with_rows(n);
+    let mut ids: HashMap<(u64, Key), u64> = HashMap::new();
+    for (i, &p) in prev.iter().enumerate() {
+        g.push(i, ids.entry((p, key_at(&view, i))).or_insert(NO_GROUP));
+    }
+    Ok(g.into_values())
 }
 
 #[cfg(test)]
