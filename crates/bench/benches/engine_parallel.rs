@@ -13,8 +13,8 @@
 //! the engine as it was before zero-copy views — and "after" rows in
 //! the default zero-copy mode.
 
-use criterion::{criterion_group, take_reports, BenchmarkId, Criterion};
-use stetho_bench::ledger::{int, ledger_path, num, text, Ledger};
+use criterion::{criterion_group, BenchmarkId, Criterion};
+use stetho_bench::ledger::{self, int, num, text};
 use stetho_bench::{catalog, plan_for};
 use stetho_engine::rt::RuntimeValue;
 use stetho_engine::{
@@ -379,27 +379,6 @@ fn describe(name: &str) -> Vec<(String, serde_json::Value)> {
     fields
 }
 
-fn write_ledger() {
-    let path = ledger_path();
-    let mut ledger = Ledger::load(&path);
-    // Parallel-vs-serial rows only mean something relative to the CPUs
-    // the host actually grants: on a single-CPU container the parallel
-    // rows measure pure scheduling overhead, not speedup.
-    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-    ledger.set_context("host_cpus", int(cpus as i64));
-    for report in take_reports() {
-        let mut fields = describe(&report.name);
-        fields.push(("mean_ns".to_string(), num(report.mean_ns)));
-        ledger.put(&report.name, fields);
-    }
-    ledger.save(&path).expect("ledger writes");
-    eprintln!(
-        "[ledger] wrote {} entries to {}",
-        ledger.len(),
-        path.display()
-    );
-}
-
 criterion_group! {
     name = benches;
     config = Criterion::default();
@@ -409,5 +388,9 @@ criterion_group! {
 
 fn main() {
     benches();
-    write_ledger();
+    // Parallel-vs-serial rows only mean something relative to the CPUs
+    // the host actually grants (the ledger's `host_cpus`): on a
+    // single-CPU container the parallel rows measure pure scheduling
+    // overhead, not speedup.
+    ledger::record(|name| Some(describe(name)));
 }

@@ -1,9 +1,13 @@
 //! Experiment D6 — online end-to-end: the complete §4.2 workflow (UDP
 //! textual Stethoscope, query thread, stream monitor, sampling, coloring)
 //! measured wall-to-wall, with the EDT pacing on and off.
+//!
+//! Every mean is upserted into the `BENCH_engine.json` ledger at the
+//! repository root, with the host's CPU count in its context.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, BenchmarkId, Criterion};
 use stetho_bench::catalog;
+use stetho_bench::ledger::{self, int, num, text};
 use stetho_core::{OnlineConfig, OnlineSession};
 use stetho_tpch::queries;
 
@@ -56,9 +60,33 @@ fn bench_online_queries(c: &mut Criterion) {
     group.finish();
 }
 
+/// Map one criterion report path to its ledger descriptor fields.
+fn describe(name: &str) -> Option<Vec<(String, serde_json::Value)>> {
+    let (query, pacing, partitions, workers) = match name.split('/').collect::<Vec<_>>()[..] {
+        ["online", "end_to_end", "pacing_ms", pacing] => ("Q6", pacing.parse().ok()?, 2, 2),
+        ["online", "query", query] => (query, 0, 1, 0),
+        _ => return None,
+    };
+    Some(vec![
+        ("bench".to_string(), text("online_session")),
+        // Named like the `stetho_tpch::queries` constant the row ran.
+        ("query".to_string(), text(&query.to_uppercase())),
+        ("sf".to_string(), num(0.002)),
+        ("pacing_ms".to_string(), int(pacing)),
+        ("partitions".to_string(), int(partitions)),
+        ("workers".to_string(), int(workers)),
+    ])
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default();
     targets = bench_online, bench_online_queries
 }
-criterion_main!(benches);
+
+fn main() {
+    benches();
+    // A session runs the listener, the query and the monitor on their
+    // own threads, so its wall clock depends on the CPUs granted.
+    ledger::record(describe);
+}

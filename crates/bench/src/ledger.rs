@@ -115,6 +115,30 @@ impl Ledger {
     }
 }
 
+/// Drain the criterion reports into the ledger at [`ledger_path`]. Each
+/// report that `describe` maps to descriptor fields is upserted with its
+/// `mean_ns`; the others are skipped. The context records `host_cpus`,
+/// since sessions and parallel rows depend on the CPUs the host grants.
+pub fn record(describe: impl Fn(&str) -> Option<Vec<(String, Value)>>) {
+    let path = ledger_path();
+    let mut ledger = Ledger::load(&path);
+    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    ledger.set_context("host_cpus", int(cpus as i64));
+    for report in criterion::take_reports() {
+        let Some(mut fields) = describe(&report.name) else {
+            continue;
+        };
+        fields.push(("mean_ns".to_string(), num(report.mean_ns)));
+        ledger.put(&report.name, fields);
+    }
+    ledger.save(&path).expect("ledger writes");
+    eprintln!(
+        "[ledger] wrote {} entries to {}",
+        ledger.len(),
+        path.display()
+    );
+}
+
 /// Field helper: a float value.
 pub fn num(x: f64) -> Value {
     Value::Float(x)

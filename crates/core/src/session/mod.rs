@@ -12,9 +12,15 @@ mod shared;
 pub mod snapshot;
 
 pub use shared::PlanView;
-pub(crate) use shared::Server;
+pub(crate) use shared::{Server, StreamCloser};
 
 use std::fmt;
+use std::time::Duration;
+
+/// How long an online or multi-server session waits for its stream to
+/// complete before giving up. It is the only timer a session has: it
+/// bounds a wedged server, and a session that completes never reaches it.
+pub const DEFAULT_TIMEOUT: Duration = Duration::from_secs(120);
 
 /// Errors from building or driving a session.
 #[derive(Debug, Clone, PartialEq)]

@@ -10,18 +10,18 @@
 //! on a single textual Stethoscope, and demultiplexes the merged stream
 //! by source address.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::net::SocketAddr;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use stetho_engine::Catalog;
-use stetho_profiler::udp::{StreamItem, StreamRecvError};
+use stetho_profiler::udp::{StreamItem, StreamReceiver, StreamRecvError};
 use stetho_profiler::{FilterOptions, ProfilerEmitter, TextualStethoscope, TraceEvent};
 use stetho_sql::compile;
 
 use crate::analysis::SessionReport;
-use crate::session::{Server, SessionError};
+use crate::session::{Server, SessionError, StreamCloser, DEFAULT_TIMEOUT};
 
 /// One server's workload.
 #[derive(Clone)]
@@ -46,6 +46,10 @@ pub struct ServerOutcome {
     pub source: SocketAddr,
     /// Its (filtered) events, arrival order.
     pub events: Vec<TraceEvent>,
+    /// Whether its end-of-trace arrived. `false` means every copy was
+    /// lost, so its stream ended without it and `events` may be cut
+    /// short.
+    pub saw_eot: bool,
     /// Result rows of its query.
     pub result_rows: usize,
     /// Full analysis over its trace.
@@ -78,10 +82,13 @@ impl MultiServerSession {
             crate::metrics::bridge_transport(reg, steth.counters());
         }
         let addr = steth.local_addr()?;
+        let rx = steth.start();
 
         // Launch each server: connect its emitter first (so we can
         // register its per-server filter before any event flows), then
-        // run the query in a thread.
+        // run the query in a thread. The stream closes once the last
+        // server has exited.
+        let closer = Arc::new(StreamCloser(steth.stop_handle()));
         let mut launched = Vec::with_capacity(specs.len());
         for spec in &specs {
             let compiled = compile(&spec.catalog, &spec.sql)
@@ -97,9 +104,11 @@ impl MultiServerSession {
                 dot: None,
                 workers: 0,
                 metrics: None,
+                closer: Arc::clone(&closer),
             };
             launched.push((source, compiled.plan, server.spawn(&spec.name, emitter)?));
         }
+        drop(closer);
 
         // Per-server demux counters, keyed by the source address the
         // merged stream tags each event with.
@@ -119,45 +128,20 @@ impl MultiServerSession {
             None => HashMap::new(),
         };
 
-        // Demultiplex the merged stream until every server sent its EOT.
-        let rx = steth.start();
-        let mut per_source: HashMap<SocketAddr, Vec<TraceEvent>> = HashMap::new();
-        let mut eots: usize = 0;
-        let deadline = Instant::now() + Duration::from_secs(120);
-        while eots < specs.len() {
-            if Instant::now() > deadline {
-                steth.stop();
-                return Err(SessionError::new("multi-server session timed out"));
-            }
-            match rx.recv_timeout(Duration::from_millis(50)) {
-                Ok(StreamItem::Event { source, event }) => {
-                    if let Some(c) = event_counters.get(&source) {
-                        c.inc();
-                    }
-                    per_source.entry(source).or_default().push(event);
-                }
-                Ok(StreamItem::EndOfTrace { .. }) => eots += 1,
-                Ok(_) => {}
-                Err(StreamRecvError::Timeout) => continue,
-                Err(StreamRecvError::Closed) => {
-                    steth.stop();
-                    return Err(SessionError::new(
-                        "stream closed before every server reported end-of-trace",
-                    ));
-                }
-            }
-        }
+        let demuxed = demux(&rx, &event_counters);
         steth.stop();
+        let mut demuxed = demuxed?;
 
         let mut outcomes = Vec::with_capacity(specs.len());
         for (spec, (source, plan, handle)) in specs.into_iter().zip(launched) {
             let result_rows = handle.join()?;
-            let events = per_source.remove(&source).unwrap_or_default();
+            let events = demuxed.events.remove(&source).unwrap_or_default();
             let report = SessionReport::build(&plan, &events, 3, 4);
             outcomes.push(ServerOutcome {
                 name: spec.name,
                 source,
                 events,
+                saw_eot: demuxed.ended.contains(&source),
                 result_rows,
                 report,
             });
@@ -166,11 +150,50 @@ impl MultiServerSession {
     }
 }
 
+/// The merged stream, split by source address.
+#[derive(Default)]
+struct Demuxed {
+    events: HashMap<SocketAddr, Vec<TraceEvent>>,
+    /// Sources whose end-of-trace arrived.
+    ended: HashSet<SocketAddr>,
+}
+
+/// Demultiplex the merged stream until it closes, counting each event on
+/// its source's counter.
+fn demux(
+    rx: &StreamReceiver,
+    counters: &HashMap<SocketAddr, stetho_obsv::Counter>,
+) -> Result<Demuxed, SessionError> {
+    let mut out = Demuxed::default();
+    let deadline = Instant::now() + DEFAULT_TIMEOUT;
+    loop {
+        match rx.recv_timeout(deadline.saturating_duration_since(Instant::now())) {
+            Ok(StreamItem::Event { source, event }) => {
+                if let Some(c) = counters.get(&source) {
+                    c.inc();
+                }
+                out.events.entry(source).or_default().push(event);
+            }
+            Ok(StreamItem::EndOfTrace { source }) => {
+                out.ended.insert(source);
+            }
+            Ok(_) => {}
+            Err(StreamRecvError::Closed) => return Ok(out),
+            Err(StreamRecvError::Timeout) => {
+                return Err(SessionError::new(format!(
+                    "multi-server session timed out after {DEFAULT_TIMEOUT:?}"
+                )))
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use stetho_engine::{Bat, TableDef};
     use stetho_mal::MalType;
+    use stetho_profiler::{ChaosConfig, ChaosLink, EventStatus};
 
     fn catalog(rows: i64, tag: f64) -> Arc<Catalog> {
         let mut c = Catalog::new();
@@ -217,6 +240,7 @@ mod tests {
         assert_eq!(outcomes[0].result_rows, 40);
         assert_eq!(outcomes[1].result_rows, 1);
         assert_ne!(outcomes[0].source, outcomes[1].source);
+        assert!(outcomes.iter().all(|o| o.saw_eot));
         // Each server's events mention only its own plan's statements.
         assert!(!outcomes[0].events.is_empty());
         assert!(!outcomes[1].events.is_empty());
@@ -300,5 +324,41 @@ mod tests {
         }])
         .unwrap_err();
         assert!(err.to_string().contains("broken"));
+    }
+
+    #[test]
+    fn stream_ending_without_eot_is_reported() {
+        // Both servers' events arrive, but only alpha's end-of-trace:
+        // beta's tail is gone, as when every copy of it is lost. The
+        // link still closes once both have exited.
+        let link = ChaosLink::new(ChaosConfig::clean(7));
+        let mut steth = TextualStethoscope::over(&link);
+        let rx = steth.start();
+        let alpha = ProfilerEmitter::over(&link);
+        let beta = ProfilerEmitter::over(&link);
+        for i in 0..4 {
+            let e = TraceEvent {
+                event: i,
+                status: EventStatus::Start,
+                pc: i as usize,
+                thread: 0,
+                clk: i,
+                usec: 0,
+                rss: 0,
+                stmt: "a.b();".into(),
+            };
+            alpha.emit(&e).unwrap();
+            beta.emit(&e).unwrap();
+        }
+        alpha.send_end_of_trace().unwrap();
+        let (a, b) = (alpha.local_addr().unwrap(), beta.local_addr().unwrap());
+        drop((alpha, beta));
+
+        let demuxed = demux(&rx, &HashMap::new()).unwrap();
+        steth.stop();
+        assert!(demuxed.ended.contains(&a));
+        assert!(!demuxed.ended.contains(&b), "beta sent no end-of-trace");
+        assert_eq!(demuxed.events[&a].len(), 4);
+        assert_eq!(demuxed.events[&b].len(), 4);
     }
 }

@@ -53,7 +53,7 @@ use crate::mapping::TraceDotMap;
 use crate::metrics::SessionMetrics;
 use crate::progress::{InstrState, ProgressModel, ProgressSnapshot};
 use crate::replay::repair_lost_dones;
-use crate::session::{PlanView, Server, SessionError};
+use crate::session::{PlanView, Server, SessionError, StreamCloser, DEFAULT_TIMEOUT};
 
 static SESSION_SEQ: AtomicU64 = AtomicU64::new(0);
 
@@ -156,8 +156,7 @@ pub struct OnlineOutcome {
 }
 
 /// The per-item monitor state (the paper's "separate thread [that]
-/// monitors the received UDP stream"), shared between the live loop and
-/// the post-join grace drain.
+/// monitors the received UDP stream").
 struct Monitor<'a> {
     cfg: &'a OnlineConfig,
     plan: &'a Plan,
@@ -334,6 +333,7 @@ impl OnlineSession {
             dot: Some(dot_text.clone()),
             workers: cfg.workers,
             metrics: cfg.metrics.clone(),
+            closer: Arc::new(StreamCloser(steth.stop_handle())),
         }
         .spawn("query", emitter)?;
 
@@ -357,45 +357,26 @@ impl OnlineSession {
             dot_degraded: false,
             metrics: cfg.metrics.as_deref().map(SessionMetrics::new),
         };
-        let deadline = Instant::now() + Duration::from_secs(120);
+        let deadline = Instant::now() + DEFAULT_TIMEOUT;
 
-        // Live monitoring until end-of-trace (or the stream closes —
-        // e.g. the final eot frames themselves were lost).
-        while !mon.saw_eot {
-            if Instant::now() > deadline {
-                steth.stop();
-                return Err(SessionError::new("online session timed out"));
-            }
-            match rx.recv_timeout(Duration::from_millis(50)) {
-                Ok(item) => mon.handle(item)?,
-                Err(StreamRecvError::Timeout) => continue,
-                Err(StreamRecvError::Closed) => break,
-            }
-        }
-
-        // Join first: the emitter drops with the query thread, which
-        // flushes delayed datagrams and closes an in-memory link so the
-        // drain below sees every straggler and every gap report.
-        let result_rows = query_thread.join()?;
-        if chaos_link.is_none() {
-            // Real UDP: give in-flight loopback datagrams a beat, then
-            // stop the listener (which flushes reassembly buffers and
-            // closes the ring).
-            std::thread::sleep(Duration::from_millis(60));
-            steth.stop();
-        }
-        // Grace drain: reordered stragglers, eot echoes, gap reports
-        // from the end-of-stream flush.
+        // Monitor until the stream closes. It closes once the server has
+        // exited and everything it sent is decoded: a chaos link when the
+        // emitter drops, UDP when the closer's stop marker is read. So a
+        // lost `eot` costs no timer, and the items after `eot` (its
+        // echoes, the gap reports of the final flush) are all here.
         loop {
-            if Instant::now() > deadline {
-                break;
-            }
-            match rx.recv_timeout(Duration::from_millis(200)) {
+            match rx.recv_timeout(deadline.saturating_duration_since(Instant::now())) {
                 Ok(item) => mon.handle(item)?,
-                Err(StreamRecvError::Timeout) => continue,
                 Err(StreamRecvError::Closed) => break,
+                Err(StreamRecvError::Timeout) => {
+                    steth.stop();
+                    return Err(SessionError::new(format!(
+                        "online session timed out after {DEFAULT_TIMEOUT:?}"
+                    )));
+                }
             }
         }
+        let result_rows = query_thread.join()?;
         steth.stop();
 
         mon.trace_writer.flush()?;
@@ -613,6 +594,34 @@ mod tests {
         let cfg = OnlineConfig::default();
         let r = OnlineSession::run(catalog(), "select nothing from nowhere", &cfg);
         assert!(r.is_err());
+    }
+
+    #[test]
+    fn runtime_failure_ends_the_session_promptly() {
+        // l_partkey holds zeros, so the division fails and the server
+        // sends no `eot`. Its exit still closes the stream, so the
+        // session reports the query's error instead of waiting out its
+        // deadline.
+        let cfg = OnlineConfig {
+            pacing_ms: 0,
+            ..Default::default()
+        };
+        let started = Instant::now();
+        let err = OnlineSession::run(
+            catalog(),
+            "select l_tax / l_partkey as r from lineitem",
+            &cfg,
+        )
+        .err()
+        .expect("division by zero fails the query");
+        assert!(!err.msg.contains("timed out"), "{err}");
+        assert!(
+            started.elapsed() < DEFAULT_TIMEOUT / 2,
+            "{:?}",
+            started.elapsed()
+        );
+        std::fs::remove_file(&cfg.trace_path).ok();
+        std::fs::remove_file(&cfg.dot_path).ok();
     }
 
     #[test]

@@ -9,7 +9,7 @@ use stetho_dot::Graph;
 use stetho_engine::{Catalog, ExecOptions, Interpreter, ProfilerConfig, UdpSink};
 use stetho_layout::{layout, parse_svg, write_svg, LayoutOptions, SceneGraph};
 use stetho_mal::Plan;
-use stetho_profiler::{ProfilerEmitter, TraceEvent};
+use stetho_profiler::{ProfilerEmitter, StopHandle, TraceEvent};
 use stetho_zvtm::{EventDispatchThread, VirtualSpace};
 
 use crate::color::{ColorState, PairElision};
@@ -75,6 +75,23 @@ impl PlanView {
     }
 }
 
+/// Closes a UDP stream once every server holding a clone has exited.
+///
+/// Each server sends its last frame before its clone drops, so when the
+/// last clone stops the listener, everything the servers sent is queued
+/// ahead of the stop marker. The monitor then reads the stream until it
+/// closes, whether or not `eot` survived the trip. A chaos link needs
+/// none (`StreamCloser(None)`): it closes when its endpoints drop.
+pub(crate) struct StreamCloser(pub Option<StopHandle>);
+
+impl Drop for StreamCloser {
+    fn drop(&mut self) {
+        if let Some(stop) = &self.0 {
+            stop.stop();
+        }
+    }
+}
+
 /// One query to run on an engine instance: optionally send the dot text,
 /// execute with the profiler streaming over a [`UdpSink`], then send
 /// end-of-trace.
@@ -86,6 +103,8 @@ pub(crate) struct Server {
     /// Engine worker threads (0 or 1 = sequential interpreter).
     pub workers: usize,
     pub metrics: Option<Arc<stetho_obsv::Registry>>,
+    /// Dropped when the server thread exits, after its last frame.
+    pub closer: Arc<StreamCloser>,
 }
 
 /// A running [`Server`] thread.
@@ -96,8 +115,9 @@ pub(crate) struct ServerHandle {
 
 impl Server {
     /// Run the query in a thread named `mserver-<name>`, streaming over
-    /// `emitter`. The emitter drops with the thread, which flushes and
-    /// closes an in-memory link.
+    /// `emitter`. The emitter and the closer drop with the thread, which
+    /// closes the stream: an in-memory link through the emitter, UDP
+    /// through the closer.
     pub(crate) fn spawn(
         self,
         name: &str,
@@ -106,6 +126,8 @@ impl Server {
         let thread = std::thread::Builder::new()
             .name(format!("mserver-{name}"))
             .spawn(move || -> Result<usize, SessionError> {
+                // Declared first, so it drops last: after every send.
+                let _closer = self.closer;
                 if let Some(dot) = &self.dot {
                     emitter.send_dot(&self.plan.name, dot)?;
                 }

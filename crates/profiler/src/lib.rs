@@ -40,4 +40,6 @@ pub use reassembly::{Reassembler, ReassemblyOut, StreamDecoder, TransportStats};
 pub use sampler::SampleBuffer;
 pub use stats::TraceStats;
 pub use tracefile::TraceFile;
-pub use udp::{ProfilerEmitter, StreamItem, StreamReceiver, StreamRecvError, TextualStethoscope};
+pub use udp::{
+    ProfilerEmitter, StopHandle, StreamItem, StreamReceiver, StreamRecvError, TextualStethoscope,
+};

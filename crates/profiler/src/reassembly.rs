@@ -312,6 +312,14 @@ impl StreamDecoder {
     /// Decode one datagram (text) from `source`.
     pub fn decode(&mut self, source: SocketAddr, text: &str, out: &mut Vec<StreamItem>) {
         match decode_datagram(text) {
+            DecodedDatagram::Legacy if text.is_empty() => {
+                // A datagram with no bytes carries no line at all.
+                self.counters.add(&self.counters.garbled, 1);
+                out.push(StreamItem::Garbled {
+                    source,
+                    line: String::new(),
+                });
+            }
             DecodedDatagram::Legacy => {
                 for line in text.lines() {
                     if let Some(item) = self.classify_legacy(source, line) {

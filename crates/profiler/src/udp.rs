@@ -34,7 +34,7 @@ use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::net::{SocketAddr, ToSocketAddrs, UdpSocket};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar};
+use std::sync::{Arc, Condvar, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -386,7 +386,9 @@ impl Ring {
         }
         st.buf.push_back(item);
         drop(st);
-        self.cv.notify_one();
+        // All: a `StopHandle` may be waiting on this condvar for the
+        // close, and must not take a consumer's wakeup.
+        self.cv.notify_all();
         evicted
     }
 
@@ -442,9 +444,55 @@ impl StreamReceiver {
 // Textual Stethoscope
 // ---------------------------------------------------------------------
 
+/// How long [`StopHandle::stop`] waits for the stream to close before
+/// sending the stop marker again. Only a lost marker (a full receive
+/// queue drops it like any datagram) ever waits this long.
+const STOP_RESEND: Duration = Duration::from_millis(50);
+
 enum Inlet {
-    Udp(UdpSocket),
-    Mem(Option<ChaosReceiver>),
+    /// The listening socket, plus the loopback socket that sends it the
+    /// stop marker.
+    Udp {
+        socket: UdpSocket,
+        waker: Arc<UdpSocket>,
+    },
+    /// A chaos link, and whether its listener should keep polling it.
+    Mem {
+        rx: Option<ChaosReceiver>,
+        running: Arc<AtomicBool>,
+    },
+}
+
+/// Stops a UDP listener from any thread: sends the stop marker, an empty
+/// datagram from a loopback socket of its own, and waits until the
+/// listener has decoded everything queued ahead of it and closed its
+/// stream.
+#[derive(Clone)]
+pub struct StopHandle {
+    waker: Arc<UdpSocket>,
+    ring: Arc<Ring>,
+}
+
+impl StopHandle {
+    /// Stop the listener and wait for its stream to close. Returns at
+    /// once when it has already closed. It runs inside `Drop` impls, so
+    /// it must not panic: a poisoned lock still holds a valid flag.
+    pub fn stop(&self) {
+        let mut st = self
+            .ring
+            .state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        while !st.closed {
+            let _ = self.waker.send(&[]);
+            st = self
+                .ring
+                .cv
+                .wait_timeout_while(st, STOP_RESEND, |st| !st.closed)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
+        }
+    }
 }
 
 /// The textual Stethoscope: receives interleaved dot + trace streams
@@ -453,7 +501,8 @@ enum Inlet {
 /// [`StreamItem`]s through a bounded ring.
 pub struct TextualStethoscope {
     inlet: Inlet,
-    running: Arc<AtomicBool>,
+    /// Set by [`TextualStethoscope::start`] on a UDP inlet.
+    stop: Option<StopHandle>,
     filters: Arc<Mutex<HashMap<SocketAddr, FilterOptions>>>,
     default_filter: Arc<Mutex<FilterOptions>>,
     counters: Arc<TransportCounters>,
@@ -462,23 +511,32 @@ pub struct TextualStethoscope {
 }
 
 impl TextualStethoscope {
-    /// Bind on an ephemeral localhost port.
+    /// Bind on an ephemeral localhost port. The listener blocks in
+    /// `recv_from` with no read timeout; [`TextualStethoscope::stop`]
+    /// wakes it with an empty datagram from a second loopback socket.
     pub fn bind() -> io::Result<Self> {
         let socket = UdpSocket::bind(("127.0.0.1", 0))?;
-        socket.set_read_timeout(Some(Duration::from_millis(20)))?;
-        Ok(Self::with_inlet(Inlet::Udp(socket)))
+        let waker = UdpSocket::bind(("127.0.0.1", 0))?;
+        waker.connect(socket.local_addr()?)?;
+        Ok(Self::with_inlet(Inlet::Udp {
+            socket,
+            waker: Arc::new(waker),
+        }))
     }
 
     /// Listen on a deterministic in-memory [`ChaosLink`] instead of a
     /// socket.
     pub fn over(link: &ChaosLink) -> Self {
-        Self::with_inlet(Inlet::Mem(Some(link.receiver())))
+        Self::with_inlet(Inlet::Mem {
+            rx: Some(link.receiver()),
+            running: Arc::new(AtomicBool::new(false)),
+        })
     }
 
     fn with_inlet(inlet: Inlet) -> Self {
         TextualStethoscope {
             inlet,
-            running: Arc::new(AtomicBool::new(false)),
+            stop: None,
             filters: Arc::new(Mutex::new(HashMap::new())),
             default_filter: Arc::new(Mutex::new(FilterOptions::all())),
             counters: Arc::new(TransportCounters::default()),
@@ -490,12 +548,20 @@ impl TextualStethoscope {
     /// Address servers should emit to (UDP inlet only).
     pub fn local_addr(&self) -> io::Result<SocketAddr> {
         match &self.inlet {
-            Inlet::Udp(socket) => socket.local_addr(),
-            Inlet::Mem(_) => Err(io::Error::new(
+            Inlet::Udp { socket, .. } => socket.local_addr(),
+            Inlet::Mem { .. } => Err(io::Error::new(
                 io::ErrorKind::AddrNotAvailable,
                 "in-memory stethoscope has no socket address",
             )),
         }
+    }
+
+    /// A handle that stops the listener from another thread, as
+    /// [`TextualStethoscope::stop`] does but without joining it. Only a
+    /// started UDP inlet has one: a chaos link closes when its endpoints
+    /// drop.
+    pub fn stop_handle(&self) -> Option<StopHandle> {
+        self.stop.clone()
     }
 
     /// Set the bounded ring capacity between the socket thread and the
@@ -530,8 +596,6 @@ impl TextualStethoscope {
     /// most once.
     pub fn start(&mut self) -> StreamReceiver {
         let ring = Ring::new(self.ring_capacity);
-        self.running.store(true, Ordering::SeqCst);
-        let running = Arc::clone(&self.running);
         let decoder = StreamDecoder::with_shared(
             DEFAULT_REORDER_WINDOW,
             Arc::clone(&self.filters),
@@ -539,20 +603,24 @@ impl TextualStethoscope {
             Arc::clone(&self.counters),
         );
         let thread_ring = Arc::clone(&ring);
+        let builder = std::thread::Builder::new().name("textual-stethoscope".into());
         let handle = match &mut self.inlet {
-            Inlet::Udp(socket) => {
+            Inlet::Udp { socket, waker } => {
                 let socket = socket.try_clone().expect("udp socket clone");
-                std::thread::Builder::new()
-                    .name("textual-stethoscope".into())
-                    .spawn(move || listen_udp(socket, running, decoder, thread_ring))
+                let marker = waker.local_addr().expect("waker socket address");
+                self.stop = Some(StopHandle {
+                    waker: Arc::clone(waker),
+                    ring: Arc::clone(&ring),
+                });
+                builder.spawn(move || listen_udp(socket, marker, decoder, thread_ring))
             }
-            Inlet::Mem(rx) => {
+            Inlet::Mem { rx, running } => {
                 let rx = rx
                     .take()
                     .expect("start called at most once on a chaos inlet");
-                std::thread::Builder::new()
-                    .name("textual-stethoscope".into())
-                    .spawn(move || listen_mem(rx, running, decoder, thread_ring))
+                running.store(true, Ordering::SeqCst);
+                let running = Arc::clone(running);
+                builder.spawn(move || listen_mem(rx, running, decoder, thread_ring))
             }
         }
         .expect("spawn textual stethoscope thread");
@@ -560,9 +628,17 @@ impl TextualStethoscope {
         StreamReceiver { ring }
     }
 
-    /// Stop the listening thread and wait for it.
+    /// Stop the listening thread and wait for it. Over UDP the stop
+    /// marker queues behind every datagram already received, so
+    /// everything sent before `stop` is decoded and forwarded before the
+    /// ring closes.
     pub fn stop(&mut self) {
-        self.running.store(false, Ordering::SeqCst);
+        if let Inlet::Mem { running, .. } = &self.inlet {
+            running.store(false, Ordering::SeqCst);
+        }
+        if let Some(stop) = &self.stop {
+            stop.stop();
+        }
         if let Some(h) = self.handle.take() {
             let _ = h.join();
         }
@@ -586,25 +662,21 @@ fn forward(ring: &Ring, counters: &TransportCounters, items: Vec<StreamItem>) {
     }
 }
 
-fn listen_udp(
-    socket: UdpSocket,
-    running: Arc<AtomicBool>,
-    mut decoder: StreamDecoder,
-    ring: Arc<Ring>,
-) {
+/// Decode datagrams until one arrives from `waker` (the stop marker) or
+/// the socket fails, then flush reassembly and close the ring.
+fn listen_udp(socket: UdpSocket, waker: SocketAddr, mut decoder: StreamDecoder, ring: Arc<Ring>) {
     let counters = decoder.counters();
     let mut buf = vec![0u8; 64 * 1024];
     let mut items = Vec::new();
-    while running.load(Ordering::SeqCst) {
+    loop {
         let (len, source) = match socket.recv_from(&mut buf) {
             Ok(x) => x,
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                continue
-            }
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             Err(_) => break,
         };
+        if source == waker {
+            break;
+        }
         items.clear();
         decoder.decode_bytes(source, &buf[..len], &mut items);
         forward(&ring, &counters, std::mem::take(&mut items));
@@ -841,6 +913,118 @@ mod tests {
         steth.stop();
         steth.stop();
         // Drop after stop must not hang.
+    }
+
+    /// Everything left in a stopped listener's ring, and whether it
+    /// then reported `Closed`.
+    fn drain_stopped(rx: &StreamReceiver) -> (Vec<StreamItem>, bool) {
+        let mut got = Vec::new();
+        loop {
+            match rx.try_recv() {
+                Ok(item) => got.push(item),
+                Err(e) => return (got, e == StreamRecvError::Closed),
+            }
+        }
+    }
+
+    #[test]
+    fn stop_without_eot_delivers_every_frame_sent_before_it() {
+        const N: u64 = 100;
+        let mut steth = TextualStethoscope::bind().unwrap();
+        let rx = steth.start();
+        let emitter = ProfilerEmitter::connect(steth.local_addr().unwrap()).unwrap();
+        for i in 0..N {
+            emitter.emit(&ev(i, i as usize, "a.b();")).unwrap();
+        }
+        steth.stop();
+        let (items, closed) = drain_stopped(&rx);
+        let events: Vec<u64> = items
+            .iter()
+            .filter_map(|i| match i {
+                StreamItem::Event { event, .. } => Some(event.event),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(events, (0..N).collect::<Vec<_>>(), "{items:?}");
+        assert!(closed, "the ring closes after the last frame");
+        assert_eq!(steth.transport_stats().lost, 0);
+    }
+
+    #[test]
+    fn stop_on_idle_listener_returns_promptly() {
+        // On a helper thread, so a listener that is never woken fails
+        // the test instead of hanging it.
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let mut steth = TextualStethoscope::bind().unwrap();
+            let rx = steth.start();
+            steth.stop();
+            done_tx.send(rx.try_recv()).unwrap();
+        });
+        let after_stop = done_rx
+            .recv_timeout(Duration::from_secs(1))
+            .expect("stop() on an idle listener did not return within 1 s");
+        assert_eq!(after_stop, Err(StreamRecvError::Closed));
+    }
+
+    #[test]
+    fn stop_handle_closes_the_stream_from_the_sending_thread() {
+        let mut steth = TextualStethoscope::bind().unwrap();
+        let rx = steth.start();
+        let stop = steth.stop_handle().expect("a UDP inlet has a stop handle");
+        let to = steth.local_addr().unwrap();
+        let sender = std::thread::spawn(move || {
+            let emitter = ProfilerEmitter::connect(to).unwrap();
+            for i in 0..20 {
+                emitter.emit(&ev(i, i as usize, "a.b();")).unwrap();
+            }
+            stop.stop();
+        });
+        let mut events = 0;
+        loop {
+            match rx.recv_timeout(Duration::from_secs(5)) {
+                Ok(StreamItem::Event { .. }) => events += 1,
+                Ok(_) => {}
+                Err(StreamRecvError::Closed) => break,
+                Err(StreamRecvError::Timeout) => panic!("the stream never closed"),
+            }
+        }
+        sender.join().unwrap();
+        assert_eq!(events, 20);
+        steth.stop();
+    }
+
+    #[test]
+    fn listener_socket_has_no_read_timeout() {
+        let steth = TextualStethoscope::bind().unwrap();
+        let Inlet::Udp { socket, .. } = &steth.inlet else {
+            panic!("bind() opens a UDP inlet");
+        };
+        assert_eq!(socket.read_timeout().unwrap(), None);
+    }
+
+    #[test]
+    fn foreign_empty_datagram_is_garbled_not_a_stop() {
+        let mut steth = TextualStethoscope::bind().unwrap();
+        let rx = steth.start();
+        let to = steth.local_addr().unwrap();
+        let foreign = UdpSocket::bind(("127.0.0.1", 0)).unwrap();
+        foreign.send_to(&[], to).unwrap();
+        let emitter = ProfilerEmitter::connect(to).unwrap();
+        emitter.emit(&ev(0, 0, "a.b();")).unwrap();
+        let items = drain(&rx, 2);
+        assert!(
+            matches!(&items[0], StreamItem::Garbled { line, .. } if line.is_empty()),
+            "{items:?}"
+        );
+        assert!(matches!(&items[1], StreamItem::Event { .. }), "{items:?}");
+        assert_eq!(
+            rx.try_recv(),
+            Err(StreamRecvError::Timeout),
+            "the stream stays open"
+        );
+        assert_eq!(steth.transport_stats().garbled, 1);
+        steth.stop();
     }
 
     #[test]
