@@ -242,7 +242,8 @@ fn bench_str_kernels(c: &mut Criterion) {
     // selection's candidate list (not dense) split into 8 partitions,
     // each partition projected through it, the parts packed back, then
     // grouped. `pack8_int` packs an int column of the same shape, the
-    // yardstick the CI gate holds `pack8` to.
+    // yardstick the CI gate holds `pack8` to; `pack8_dbl` packs a dbl
+    // column of that shape, as Q1's reassembly of computed columns does.
     let cat = catalog(0.05);
     let ctx = ExecCtx::new(std::sync::Arc::clone(&cat));
     let exec = |m: &str, f: &str, args: &[RuntimeValue]| ops::execute(m, f, args, &ctx).unwrap();
@@ -271,6 +272,7 @@ fn bench_str_kernels(c: &mut Criterion) {
     };
     let flag_parts = partitioned("l_returnflag");
     let int_parts = partitioned("l_quantity");
+    let dbl_parts = partitioned("l_extendedprice");
     let flags = exec("mat", "pack", &flag_parts).remove(0);
     let status = exec("mat", "pack", &partitioned("l_linestatus")).remove(0);
     let flag_groups = exec("group", "group", std::slice::from_ref(&flags)).remove(0);
@@ -288,6 +290,14 @@ fn bench_str_kernels(c: &mut Criterion) {
     group.bench_function("pack8_int", |b| {
         b.iter(|| {
             exec("mat", "pack", &int_parts)[0]
+                .as_bat("t")
+                .unwrap()
+                .len()
+        })
+    });
+    group.bench_function("pack8_dbl", |b| {
+        b.iter(|| {
+            exec("mat", "pack", &dbl_parts)[0]
                 .as_bat("t")
                 .unwrap()
                 .len()

@@ -115,22 +115,25 @@ impl ColumnData {
     }
 }
 
-/// The immutable shared backing store of one or more `Bat` views.
+/// The immutable shared backing store of one or more `Bat` views. Columns
+/// are `Arc<Vec<T>>` rather than `Arc<[T]>`, so freezing a kernel's output
+/// moves its `Vec` behind the `Arc` instead of copying it into a second
+/// allocation.
 #[derive(Debug, Clone)]
 enum Buffer {
-    Bit(Arc<[bool]>),
-    Int(Arc<[i64]>),
-    Dbl(Arc<[f64]>),
+    Bit(Arc<Vec<bool>>),
+    Int(Arc<Vec<i64>>),
+    Dbl(Arc<Vec<f64>>),
     /// Dictionary-encoded strings: row `i` holds `dict[codes[i]]`, and every
     /// entry of `dict` is distinct. `dict_bytes` is the dictionary's
     /// footprint, summed once when it is built.
     Str {
-        codes: Arc<[u32]>,
+        codes: Arc<Vec<u32>>,
         dict: Arc<[Arc<str>]>,
         dict_bytes: usize,
     },
-    Oid(Arc<[u64]>),
-    Date(Arc<[i32]>),
+    Oid(Arc<Vec<u64>>),
+    Date(Arc<Vec<i32>>),
 }
 
 impl Buffer {
@@ -163,14 +166,23 @@ impl Buffer {
 impl From<ColumnData> for Buffer {
     fn from(d: ColumnData) -> Buffer {
         match d {
-            ColumnData::Bit(v) => Buffer::Bit(v.into()),
-            ColumnData::Int(v) => Buffer::Int(v.into()),
-            ColumnData::Dbl(v) => Buffer::Dbl(v.into()),
+            ColumnData::Bit(v) => Buffer::Bit(freeze(v)),
+            ColumnData::Int(v) => Buffer::Int(freeze(v)),
+            ColumnData::Dbl(v) => Buffer::Dbl(freeze(v)),
             ColumnData::Str(v) => encode(&v, Arc::clone),
-            ColumnData::Oid(v) => Buffer::Oid(v.into()),
-            ColumnData::Date(v) => Buffer::Date(v.into()),
+            ColumnData::Oid(v) => Buffer::Oid(freeze(v)),
+            ColumnData::Date(v) => Buffer::Date(freeze(v)),
         }
     }
+}
+
+/// Freeze a column: the `Vec` moves behind the `Arc`. Spare capacity (a
+/// kernel that reserved for every candidate, a builder that grew by
+/// doubling) is given back first, which shrinks in place rather than
+/// copying, so the buffer holds what `bytes` reports.
+fn freeze<T>(mut v: Vec<T>) -> Arc<Vec<T>> {
+    v.shrink_to_fit();
+    Arc::new(v)
 }
 
 /// Bytes charged per dictionary entry beyond its text (the `Arc` header and
@@ -194,7 +206,7 @@ fn encode<S: AsRef<str>>(values: &[S], intern: impl Fn(&S) -> Arc<str>) -> Buffe
         })
         .collect();
     Buffer::Str {
-        codes: codes.into(),
+        codes: freeze(codes),
         dict_bytes: dict.iter().map(|s| s.len() + STR_OVERHEAD).sum(),
         dict: dict.into(),
     }
@@ -431,7 +443,7 @@ impl Bat {
         let dense = sorted && v.windows(2).all(|w| w[1] == w[0] + 1);
         let len = v.len();
         Bat {
-            buf: Buffer::Oid(v.into()),
+            buf: Buffer::Oid(freeze(v)),
             off: 0,
             len,
             sorted,
@@ -788,7 +800,7 @@ impl Bat {
         Bat {
             len: codes.len(),
             buf: Buffer::Str {
-                codes: codes.into(),
+                codes: freeze(codes),
                 dict: Arc::clone(dict),
                 dict_bytes: *dict_bytes,
             },

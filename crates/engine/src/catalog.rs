@@ -7,7 +7,7 @@
 //! columns live behind `Arc`.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use stetho_mal::MalType;
 
@@ -33,6 +33,8 @@ pub struct TableDef {
     pub columns: Vec<ColumnDef>,
     storage: Vec<Arc<Bat>>,
     rows: usize,
+    /// Dense candidate list `0..rows`, built on the first `sql.tid`.
+    tid: OnceLock<Arc<Bat>>,
 }
 
 impl TableDef {
@@ -66,12 +68,22 @@ impl TableDef {
             columns,
             storage,
             rows,
+            tid: OnceLock::new(),
         })
     }
 
     /// Row count.
     pub fn rows(&self) -> usize {
         self.rows
+    }
+
+    /// The candidate list of all rows (`sql.tid`): one dense oid column
+    /// per table, built once and shared by every query.
+    pub fn tid(&self) -> Arc<Bat> {
+        Arc::clone(
+            self.tid
+                .get_or_init(|| Arc::new(Bat::dense_oids(self.rows))),
+        )
     }
 
     /// Column BAT by name.

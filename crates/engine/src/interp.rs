@@ -7,6 +7,12 @@
 //! [`crate::scheduler`], which is the multi-core execution whose
 //! "degree of multi-threaded parallelization" the Stethoscope demo
 //! analyses.
+//!
+//! Both execution paths give every query a bounded working set: a
+//! variable's value is released as soon as its last reader has finished
+//! (right after its definition when nothing reads it), and the release is
+//! subtracted from the live bytes that the trace's `rss` field reports —
+//! the way MonetDB's server frees a BAT once its last reader has run.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -115,7 +121,9 @@ pub(crate) struct QueryRun {
     pub profiler: ProfilerConfig,
     pub started: Instant,
     pub event_seq: AtomicU64,
-    /// Running estimate of live BAT bytes, feeding the rss field.
+    /// Running estimate of live BAT bytes, feeding the rss field: added
+    /// when an instruction produces a value, subtracted when the value is
+    /// released.
     pub live_bytes: AtomicU64,
 }
 
@@ -137,6 +145,15 @@ impl QueryRun {
     /// rss in KiB: a base working set plus live BAT bytes.
     pub fn rss_kib(&self) -> u64 {
         1024 + self.live_bytes.load(Ordering::Relaxed) / 1024
+    }
+
+    /// Drop a variable's value after its last reader: it leaves the live
+    /// bytes the trace `rss` reports.
+    pub fn release(&self, value: Option<RuntimeValue>) {
+        if let Some(v) = value {
+            self.live_bytes
+                .fetch_sub(v.bytes() as u64, Ordering::Relaxed);
+        }
     }
 
     pub fn emit_start(&self, ins_pc: usize, thread: usize, stmt: &str) -> u64 {
@@ -261,6 +278,7 @@ impl Interpreter {
 
     fn run_sequential(&self, plan: &Plan, run: &QueryRun) -> Result<()> {
         let stmts = plan.stmt_texts();
+        let dead = dead_after(plan);
         let mut env: Vec<Option<RuntimeValue>> = vec![None; plan.var_count()];
         for ins in &plan.instructions {
             let values = run.run_instruction(
@@ -276,9 +294,31 @@ impl Interpreter {
             for (r, v) in ins.results.iter().zip(values) {
                 env[r.0] = Some(v);
             }
+            for &v in &dead[ins.pc] {
+                run.release(env[v].take());
+            }
         }
         Ok(())
     }
+}
+
+/// Per pc, the variables that are dead once that instruction has run:
+/// those it is the last reader of, and those it defines that nothing
+/// reads.
+fn dead_after(plan: &Plan) -> Vec<Vec<usize>> {
+    let mut last = vec![None; plan.var_count()];
+    for ins in &plan.instructions {
+        for v in ins.results.iter().copied().chain(ins.arg_vars()) {
+            last[v.0] = Some(ins.pc);
+        }
+    }
+    let mut dead = vec![Vec::new(); plan.len()];
+    for (v, pc) in last.into_iter().enumerate() {
+        if let Some(pc) = pc {
+            dead[pc].push(v);
+        }
+    }
+    dead
 }
 
 #[cfg(test)]

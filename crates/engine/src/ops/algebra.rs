@@ -59,6 +59,13 @@ enum Positions<'a> {
 }
 
 impl Positions<'_> {
+    fn count(&self) -> usize {
+        match self {
+            Positions::Dense(r) => (r.end - r.start) as usize,
+            Positions::List(v) => v.len(),
+        }
+    }
+
     fn max_oid(&self) -> Option<u64> {
         match self {
             Positions::Dense(r) => r.clone().last(),
@@ -352,7 +359,7 @@ pub fn thetaselect(args: &[RuntimeValue]) -> Result<Vec<RuntimeValue>> {
         }
     }
     let view = col.view();
-    let mut out = Vec::new();
+    let mut out = Vec::with_capacity(pos.count());
 
     // Typed fast loop for int-family columns; `Value` dispatch otherwise.
     let fast = int_bound(view, val);

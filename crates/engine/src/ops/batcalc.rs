@@ -17,6 +17,7 @@ use crate::rt::RuntimeValue;
 use crate::Result;
 
 /// A numeric operand view.
+#[derive(Clone, Copy)]
 enum Num<'a> {
     IntV(&'a [i64]),
     DblV(&'a [f64]),
@@ -58,22 +59,156 @@ impl<'a> Num<'a> {
         matches!(self, Num::DblV(_) | Num::DblS(_))
     }
 
-    fn int_at(&self, i: usize) -> i64 {
-        match self {
-            Num::IntV(v) => v[i],
-            Num::IntS(x) => *x,
-            _ => unreachable!("int_at on dbl operand"),
+    /// True when this divisor is zero at any evaluated position — checked
+    /// before the kernel runs, so the division loop carries no branch.
+    fn zero_at(&self, pos: &Pos<'_>) -> bool {
+        match *self {
+            Num::IntV(v) => pos.any(|i| v[i] == 0),
+            Num::DblV(v) => pos.any(|i| v[i] == 0.0),
+            Num::IntS(x) => pos.count() > 0 && x == 0,
+            Num::DblS(x) => pos.count() > 0 && x == 0.0,
         }
+    }
+}
+
+/// One operand of a binary kernel with its representation resolved once
+/// per call: a column window (`&[T]`, [`AsDbl`] for an int column promoted
+/// to double, a [`StrView`]) or a [`Const`]. The kernels are generic over
+/// it, so each (operand, operand, operator) combination compiles to its
+/// own loop with no per-row dispatch.
+trait Lane<T>: Copy {
+    /// The value at row `i`.
+    fn at(self, i: usize) -> T;
+    /// The values of rows `r`, in order.
+    fn run(self, r: Range<usize>) -> impl Iterator<Item = T>;
+}
+
+impl<T: Copy> Lane<T> for &[T] {
+    fn at(self, i: usize) -> T {
+        self[i]
     }
 
-    fn dbl_at(&self, i: usize) -> f64 {
-        match self {
-            Num::IntV(v) => v[i] as f64,
-            Num::DblV(v) => v[i],
-            Num::IntS(x) => *x as f64,
-            Num::DblS(x) => *x,
-        }
+    fn run(self, r: Range<usize>) -> impl Iterator<Item = T> {
+        self[r].iter().copied()
     }
+}
+
+/// An int column read as doubles.
+#[derive(Clone, Copy)]
+struct AsDbl<'a>(&'a [i64]);
+
+impl Lane<f64> for AsDbl<'_> {
+    fn at(self, i: usize) -> f64 {
+        self.0[i] as f64
+    }
+
+    fn run(self, r: Range<usize>) -> impl Iterator<Item = f64> {
+        self.0[r].iter().map(|&x| x as f64)
+    }
+}
+
+/// A scalar operand.
+#[derive(Clone, Copy)]
+struct Const<T>(T);
+
+impl<T: Copy> Lane<T> for Const<T> {
+    fn at(self, _: usize) -> T {
+        self.0
+    }
+
+    fn run(self, r: Range<usize>) -> impl Iterator<Item = T> {
+        std::iter::repeat_n(self.0, r.len())
+    }
+}
+
+impl<'a> Lane<&'a str> for StrView<'a> {
+    fn at(self, i: usize) -> &'a str {
+        StrView::at(&self, i)
+    }
+
+    fn run(self, r: Range<usize>) -> impl Iterator<Item = &'a str> {
+        let dict = self.dict();
+        self.codes()[r].iter().map(move |&c| &*dict[c as usize])
+    }
+}
+
+/// `f` at every position. A range walks sub-slices of the operands in
+/// order; a candidate list reads the rows it names.
+fn map2<T, U>(a: impl Lane<T>, b: impl Lane<T>, pos: &Pos<'_>, f: impl Fn(T, T) -> U) -> Vec<U> {
+    match pos {
+        Pos::Range(r) => a
+            .run(r.clone())
+            .zip(b.run(r.clone()))
+            .map(|(x, y)| f(x, y))
+            .collect(),
+        Pos::List(l) => l
+            .iter()
+            .map(|&o| f(a.at(o as usize), b.at(o as usize)))
+            .collect(),
+    }
+}
+
+/// Bind `$l` to the numeric operand `$n` as a double lane and evaluate
+/// `$body`, once per operand representation.
+macro_rules! dbl_lane {
+    ($n:expr, $l:ident => $body:expr) => {
+        match $n {
+            Num::IntV(v) => {
+                let $l = AsDbl(v);
+                $body
+            }
+            Num::DblV(v) => {
+                let $l = v;
+                $body
+            }
+            Num::IntS(x) => {
+                let $l = Const(x as f64);
+                $body
+            }
+            Num::DblS(x) => {
+                let $l = Const(x);
+                $body
+            }
+        }
+    };
+}
+
+/// `dbl_lane!` for operands known to be int.
+macro_rules! int_lane {
+    ($n:expr, $l:ident => $body:expr) => {
+        match $n {
+            Num::IntV(v) => {
+                let $l = v;
+                $body
+            }
+            Num::IntS(x) => {
+                let $l = Const(x);
+                $body
+            }
+            Num::DblV(_) | Num::DblS(_) => unreachable!("int lane of a dbl operand"),
+        }
+    };
+}
+
+/// Resolve both operands through `$lane` and map `$f` over `$pos`.
+macro_rules! map_lanes {
+    ($lane:ident, $a:expr, $b:expr, $pos:expr, $f:expr) => {
+        $lane!($a, x => $lane!($b, y => map2(x, y, $pos, $f)))
+    };
+}
+
+/// The comparison named `$f`, resolved once, over both operands.
+macro_rules! compare_lanes {
+    ($f:expr, $lane:ident, $a:expr, $b:expr, $pos:expr) => {
+        match $f {
+            "==" => map_lanes!($lane, $a, $b, $pos, |x, y| x == y),
+            "!=" => map_lanes!($lane, $a, $b, $pos, |x, y| x != y),
+            "<" => map_lanes!($lane, $a, $b, $pos, |x, y| x < y),
+            "<=" => map_lanes!($lane, $a, $b, $pos, |x, y| x <= y),
+            ">" => map_lanes!($lane, $a, $b, $pos, |x, y| x > y),
+            _ => map_lanes!($lane, $a, $b, $pos, |x, y| x >= y),
+        }
+    };
 }
 
 /// Split an optional trailing candidate argument off `args`.
@@ -127,25 +262,13 @@ impl Pos<'_> {
             Pos::List(l) => l.len(),
         }
     }
-}
 
-/// Iterate the positions of a [`Pos`]; the body may `return`/`?` out.
-macro_rules! for_pos {
-    ($pos:expr, $i:ident => $body:block) => {
-        match &$pos {
-            Pos::Range(r) => {
-                for $i in r.clone() {
-                    $body
-                }
-            }
-            Pos::List(l) => {
-                for &o in *l {
-                    let $i = o as usize;
-                    $body
-                }
-            }
+    fn any(&self, f: impl Fn(usize) -> bool) -> bool {
+        match self {
+            Pos::Range(r) => r.clone().any(f),
+            Pos::List(l) => l.iter().any(|&o| f(o as usize)),
         }
-    };
+    }
 }
 
 /// Resolve candidates (if any) against a column of length `len`.
@@ -180,39 +303,24 @@ pub fn arith(f: &str, args: &[RuntimeValue]) -> Result<Vec<RuntimeValue>> {
     let len = common_len(&op, &a, &b)?;
     let pos = positions(len, cand)?;
 
+    if !matches!(f, "+" | "-" | "*") && b.zero_at(&pos) {
+        return Err(EngineError::DivisionByZero);
+    }
     if a.is_dbl() || b.is_dbl() {
-        let mut out = Vec::with_capacity(pos.count());
-        for_pos!(pos, i => {
-            let (x, y) = (a.dbl_at(i), b.dbl_at(i));
-            out.push(match f {
-                "+" => x + y,
-                "-" => x - y,
-                "*" => x * y,
-                _ => {
-                    if y == 0.0 {
-                        return Err(EngineError::DivisionByZero);
-                    }
-                    x / y
-                }
-            });
-        });
+        let out = match f {
+            "+" => map_lanes!(dbl_lane, a, b, &pos, |x, y| x + y),
+            "-" => map_lanes!(dbl_lane, a, b, &pos, |x, y| x - y),
+            "*" => map_lanes!(dbl_lane, a, b, &pos, |x, y| x * y),
+            _ => map_lanes!(dbl_lane, a, b, &pos, |x, y| x / y),
+        };
         Ok(vec![RuntimeValue::bat(Bat::new(ColumnData::Dbl(out)))])
     } else {
-        let mut out = Vec::with_capacity(pos.count());
-        for_pos!(pos, i => {
-            let (x, y) = (a.int_at(i), b.int_at(i));
-            out.push(match f {
-                "+" => x.wrapping_add(y),
-                "-" => x.wrapping_sub(y),
-                "*" => x.wrapping_mul(y),
-                _ => {
-                    if y == 0 {
-                        return Err(EngineError::DivisionByZero);
-                    }
-                    x / y
-                }
-            });
-        });
+        let out = match f {
+            "+" => map_lanes!(int_lane, a, b, &pos, i64::wrapping_add),
+            "-" => map_lanes!(int_lane, a, b, &pos, i64::wrapping_sub),
+            "*" => map_lanes!(int_lane, a, b, &pos, i64::wrapping_mul),
+            _ => map_lanes!(int_lane, a, b, &pos, |x, y| x / y),
+        };
         Ok(vec![RuntimeValue::bat(Bat::new(ColumnData::Int(out)))])
     }
 }
@@ -289,18 +397,8 @@ pub fn compare(f: &str, args: &[RuntimeValue]) -> Result<Vec<RuntimeValue>> {
     let b = Num::from(&op, &main[1])?;
     let len = common_len(&op, &a, &b)?;
     let pos = positions(len, cand)?;
-    let mut out = Vec::with_capacity(pos.count());
-    for_pos!(pos, i => {
-        let (x, y) = (a.dbl_at(i), b.dbl_at(i));
-        out.push(match f {
-            "==" => x == y,
-            "!=" => x != y,
-            "<" => x < y,
-            "<=" => x <= y,
-            ">" => x > y,
-            _ => x >= y,
-        });
-    });
+    // Numbers compare as doubles, ints included.
+    let out = compare_lanes!(f, dbl_lane, a, b, &pos);
     Ok(vec![RuntimeValue::bat(Bat::new(ColumnData::Bit(out)))])
 }
 
@@ -310,9 +408,24 @@ fn compare_str(
     main: &[RuntimeValue],
     cand: Option<&Bat>,
 ) -> Result<Vec<RuntimeValue>> {
+    #[derive(Clone, Copy)]
     enum S<'a> {
         V(StrView<'a>),
         C(&'a str),
+    }
+    macro_rules! str_lane {
+        ($s:expr, $l:ident => $body:expr) => {
+            match $s {
+                S::V(v) => {
+                    let $l = v;
+                    $body
+                }
+                S::C(c) => {
+                    let $l = Const(c);
+                    $body
+                }
+            }
+        };
     }
     fn side<'a>(op: &str, v: &'a RuntimeValue) -> Result<S<'a>> {
         match v {
@@ -354,25 +467,8 @@ fn compare_str(
         }
     };
     // Borrow, never clone: strings compare through their dictionary.
-    fn at<'a>(s: &S<'a>, i: usize) -> &'a str {
-        match s {
-            S::V(v) => v.at(i),
-            S::C(c) => c,
-        }
-    }
     let pos = positions(len, cand)?;
-    let mut out = Vec::with_capacity(pos.count());
-    for_pos!(pos, i => {
-        let (x, y) = (at(&a, i), at(&b, i));
-        out.push(match f {
-            "==" => x == y,
-            "!=" => x != y,
-            "<" => x < y,
-            "<=" => x <= y,
-            ">" => x > y,
-            _ => x >= y,
-        });
-    });
+    let out = compare_lanes!(f, str_lane, a, b, &pos);
     Ok(vec![RuntimeValue::bat(Bat::new(ColumnData::Bit(out)))])
 }
 
@@ -443,6 +539,7 @@ pub fn isnil(args: &[RuntimeValue]) -> Result<Vec<RuntimeValue>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     fn rb(b: Bat) -> RuntimeValue {
         RuntimeValue::bat(b)
@@ -591,6 +688,170 @@ mod tests {
         let out = isnil(&[rb(Bat::ints(vec![1, 2]))]).unwrap();
         assert_eq!(bits(&out[0]), vec![false, false]);
         assert!(cast_dbl(&[rb(Bat::strs(vec!["x".into()]))]).is_err());
+    }
+
+    /// The kernels' semantics restated one row at a time over `Value`s,
+    /// operator and operand kind looked up per row: ints stay int under
+    /// arithmetic (wrapping), anything else is done in doubles, numbers
+    /// compare as doubles, and a division fails when any evaluated divisor
+    /// is zero.
+    fn reference(f: &str, args: &[RuntimeValue]) -> Result<Vec<Value>> {
+        let row = |v: &RuntimeValue, i: usize| match v {
+            RuntimeValue::Bat(b) => b.get(i).unwrap(),
+            RuntimeValue::Scalar(x) => x.clone(),
+        };
+        let len = args[..2]
+            .iter()
+            .find_map(|v| v.as_bat("t").ok().map(|b| b.len()))
+            .unwrap();
+        let pos: Vec<usize> = match args.get(2) {
+            Some(c) => c
+                .as_bat("t")
+                .unwrap()
+                .as_oids()
+                .unwrap()
+                .iter()
+                .map(|&o| o as usize)
+                .collect(),
+            None => (0..len).collect(),
+        };
+        let mut out = Vec::new();
+        for i in pos {
+            let (x, y) = (row(&args[0], i), row(&args[1], i));
+            out.push(match (f, &x, &y) {
+                (_, Value::Str(p), Value::Str(q)) => Value::Bit(match f {
+                    "==" => p == q,
+                    "!=" => p != q,
+                    "<" => p < q,
+                    "<=" => p <= q,
+                    ">" => p > q,
+                    _ => p >= q,
+                }),
+                ("+" | "-" | "*" | "/", Value::Int(p), Value::Int(q)) => Value::Int(match f {
+                    "+" => p.wrapping_add(*q),
+                    "-" => p.wrapping_sub(*q),
+                    "*" => p.wrapping_mul(*q),
+                    _ if *q == 0 => return Err(EngineError::DivisionByZero),
+                    _ => p / q,
+                }),
+                _ => {
+                    let (p, q) = (x.as_dbl().unwrap(), y.as_dbl().unwrap());
+                    match f {
+                        "+" => Value::Dbl(p + q),
+                        "-" => Value::Dbl(p - q),
+                        "*" => Value::Dbl(p * q),
+                        "/" if q == 0.0 => return Err(EngineError::DivisionByZero),
+                        "/" => Value::Dbl(p / q),
+                        "==" => Value::Bit(p == q),
+                        "!=" => Value::Bit(p != q),
+                        "<" => Value::Bit(p < q),
+                        "<=" => Value::Bit(p <= q),
+                        ">" => Value::Bit(p > q),
+                        _ => Value::Bit(p >= q),
+                    }
+                }
+            });
+        }
+        Ok(out)
+    }
+
+    /// A value as text, doubles by bit pattern.
+    fn exact(v: Value) -> String {
+        match v {
+            Value::Dbl(x) => format!("d{:x}", x.to_bits()),
+            v => format!("{v:?}"),
+        }
+    }
+
+    /// A kernel's output column, row by row.
+    fn rows(out: Result<Vec<RuntimeValue>>) -> Result<Vec<String>> {
+        let b = Arc::clone(out?[0].as_bat("t").unwrap());
+        Ok((0..b.len()).map(|i| exact(b.get(i).unwrap())).collect())
+    }
+
+    /// Every candidate form: none, a dense range, a sparse list that skips
+    /// row 2 (where the divisors below are zero), and an empty list.
+    fn candidate_forms() -> Vec<Option<RuntimeValue>> {
+        vec![
+            None,
+            Some(rb(Bat::dense_oids(6).slice(1, 5))),
+            Some(rb(Bat::oids(vec![0, 3, 5]))),
+            Some(rb(Bat::oids(vec![]))),
+        ]
+    }
+
+    fn check_all(ops: &[&str], operands: &[RuntimeValue]) {
+        for f in ops {
+            for a in operands {
+                for b in operands {
+                    if a.as_scalar("t").is_ok() && b.as_scalar("t").is_ok() {
+                        continue;
+                    }
+                    for cand in candidate_forms() {
+                        let mut args = vec![a.clone(), b.clone()];
+                        args.extend(cand);
+                        let kernel = if ["+", "-", "*", "/"].contains(f) {
+                            arith(f, &args)
+                        } else {
+                            compare(f, &args)
+                        };
+                        let want = reference(f, &args).map(|v| v.into_iter().map(exact).collect());
+                        assert_eq!(rows(kernel), want, "{f} over {args:?}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn numeric_kernels_match_row_at_a_time_reference() {
+        let operands = [
+            rb(Bat::ints(vec![7, -3, 0, 12, i64::MAX, -9])),
+            rb(Bat::ints(vec![2, 5, 0, -4, 3, 1])),
+            rb(Bat::dbls(vec![0.5, -2.25, 0.0, 1e300, f64::NAN, -0.0])),
+            rb(Bat::dbls(vec![3.0, 0.1, -0.0, 7.5, 2.0, -1.5])),
+            ri(4),
+            ri(0),
+            rd(-1.5),
+            rd(0.0),
+        ];
+        check_all(
+            &["+", "-", "*", "/", "==", "!=", "<", "<=", ">", ">="],
+            &operands,
+        );
+    }
+
+    #[test]
+    fn string_comparisons_match_row_at_a_time_reference() {
+        let s = |v: &str| RuntimeValue::Scalar(Value::Str(v.into()));
+        let operands = [
+            rb(Bat::strs_ref(&["b", "a", "c", "b", "", "z"])),
+            rb(Bat::strs_ref(&["a", "a", "d", "b", "b", "y"])),
+            s("b"),
+        ];
+        check_all(&["==", "!=", "<", "<=", ">", ">="], &operands);
+    }
+
+    #[test]
+    fn division_by_zero_only_at_evaluated_rows() {
+        let num = rb(Bat::ints(vec![1, 2, 3, 4, 5, 6]));
+        let div = rb(Bat::ints(vec![1, 1, 0, 1, 1, 1]));
+        let cands = candidate_forms();
+        let run = |cand: &Option<RuntimeValue>| {
+            let mut args = vec![num.clone(), div.clone()];
+            args.extend(cand.clone());
+            arith("/", &args)
+        };
+        assert!(matches!(run(&cands[0]), Err(EngineError::DivisionByZero)));
+        assert!(matches!(run(&cands[1]), Err(EngineError::DivisionByZero)));
+        assert_eq!(ints(&run(&cands[2]).unwrap()[0]), vec![1, 4, 6]);
+        assert!(run(&cands[3]).unwrap()[0].as_bat("t").unwrap().is_empty());
+        // A zero scalar divisor fails only when some row is evaluated.
+        assert!(matches!(
+            arith("/", &[num.clone(), rd(0.0), cands[2].clone().unwrap()]),
+            Err(EngineError::DivisionByZero)
+        ));
+        assert!(arith("/", &[num, ri(0), cands[3].clone().unwrap()]).is_ok());
     }
 
     #[test]

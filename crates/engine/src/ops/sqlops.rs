@@ -24,7 +24,7 @@ pub fn mvc(args: &[RuntimeValue]) -> Result<Vec<RuntimeValue>> {
 }
 
 /// `sql.tid(mvc, schema, table) :bat[:oid]` — candidate list of all live
-/// rows.
+/// rows: the table's shared dense oid column, not a fresh one per query.
 pub fn tid(args: &[RuntimeValue], ctx: &ExecCtx) -> Result<Vec<RuntimeValue>> {
     if args.len() != 3 {
         return Err(EngineError::Arity {
@@ -33,8 +33,7 @@ pub fn tid(args: &[RuntimeValue], ctx: &ExecCtx) -> Result<Vec<RuntimeValue>> {
         });
     }
     let table = expect_str("sql.tid", &args[2])?;
-    let t = ctx.catalog.table(&table)?;
-    Ok(vec![RuntimeValue::bat(Bat::dense_oids(t.rows()))])
+    Ok(vec![RuntimeValue::Bat(ctx.catalog.table(&table)?.tid())])
 }
 
 /// `sql.bind(mvc, schema, table, column, access) :bat[:ty]` — shared
@@ -148,6 +147,17 @@ mod tests {
         let b = out[0].as_bat("t").unwrap();
         assert_eq!(b.len(), 3);
         assert!(b.sorted);
+    }
+
+    #[test]
+    fn tid_shares_one_buffer_across_calls() {
+        let c = ctx();
+        let args = [i(0), s("sys"), s("lineitem")];
+        let a = tid(&args, &c).unwrap().remove(0);
+        let b = tid(&args, &c).unwrap().remove(0);
+        let (a, b) = (a.as_bat("t").unwrap(), b.as_bat("t").unwrap());
+        assert!(a.shares_buffer(b));
+        assert_eq!(a.as_dense_range(), Some(0..3));
     }
 
     #[test]

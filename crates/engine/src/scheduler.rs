@@ -21,6 +21,14 @@
 //! `k` successors issues one notification (broadcast when `k > 1`), not
 //! `k`, and idle workers park on a condvar with a short timeout backstop
 //! so a lost race between "checked queues" and "parked" self-heals.
+//!
+//! ## Variable lifetimes
+//!
+//! Each variable carries a count of the argument slots still to read it.
+//! A finishing instruction decrements the count once per slot it read;
+//! the reader that takes the count to zero takes the value out of its
+//! `env` slot and releases it. A result that nothing reads is released
+//! as soon as it is produced.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex as StdMutex};
@@ -150,6 +158,8 @@ struct Shared<'a> {
     errored: AtomicBool,
     first_error: Mutex<Option<EngineError>>,
     env: Vec<Mutex<Option<RuntimeValue>>>,
+    /// Argument slots per variable whose instruction has not finished.
+    readers: Vec<AtomicUsize>,
     injector: Injector<usize>,
     stealers: Vec<Stealer<usize>>,
     parking: Parking,
@@ -244,6 +254,11 @@ pub(crate) fn run_dataflow(
     let workers = workers.max(1);
     let graph = DataflowGraph::from_plan(plan);
 
+    let mut readers = vec![0usize; plan.var_count()];
+    for v in plan.instructions.iter().flat_map(|ins| ins.arg_vars()) {
+        readers[v.0] += 1;
+    }
+
     let locals: Vec<Worker<usize>> = (0..workers).map(|_| Worker::new_lifo()).collect();
     let shared = Shared {
         plan,
@@ -256,6 +271,7 @@ pub(crate) fn run_dataflow(
         errored: AtomicBool::new(false),
         first_error: Mutex::new(None),
         env: (0..plan.var_count()).map(|_| Mutex::new(None)).collect(),
+        readers: readers.into_iter().map(AtomicUsize::new).collect(),
         injector: Injector::new(),
         stealers: locals.iter().map(Worker::stealer).collect(),
         parking: Parking::new(),
@@ -318,8 +334,19 @@ fn worker_loop(shared: &Shared<'_>, run: &QueryRun, worker_id: usize, local: Wor
         );
         match outcome {
             Ok(values) => {
+                // No reader of a result can have started yet, so a zero
+                // count means nothing reads it.
                 for (r, v) in ins.results.iter().zip(values) {
-                    *shared.env[r.0].lock() = Some(v);
+                    if shared.readers[r.0].load(Ordering::Acquire) == 0 {
+                        run.release(Some(v));
+                    } else {
+                        *shared.env[r.0].lock() = Some(v);
+                    }
+                }
+                for v in ins.arg_vars() {
+                    if shared.readers[v.0].fetch_sub(1, Ordering::AcqRel) == 1 {
+                        run.release(shared.env[v.0].lock().take());
+                    }
                 }
                 let mut newly_ready = 0usize;
                 for &(succ, _) in shared.graph.succs(pc) {

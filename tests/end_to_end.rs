@@ -68,6 +68,39 @@ fn every_tpch_query_consistent_across_execution_modes() {
     }
 }
 
+/// Every intermediate is released after its last reader, so the trace
+/// `rss` reports the live working set: on Q1 with 8 partitions it peaks
+/// well below the sum of everything the instructions produce, and it
+/// falls again before the query ends.
+#[test]
+fn q1_trace_rss_is_a_bounded_working_set() {
+    let cat = Arc::new(generate_catalog(&TpchConfig::sf(0.01)));
+    // Serially, each instruction's rss rise from start to done is its own
+    // output, so the rises sum to every byte the plan produces (KiB).
+    let (_, _, serial) = run_query(&cat, queries::Q1, 8, 1);
+    let produced: u64 = serial
+        .chunks(2)
+        .map(|pair| pair[1].rss.saturating_sub(pair[0].rss))
+        .sum();
+    // Serially the live set peaks near a quarter of that; four workers
+    // keep several partitions' pipelines live at once (about half).
+    let parallel = run_query(&cat, queries::Q1, 8, 4).2;
+    for (workers, events, bound) in [(1, serial, produced / 2), (4, parallel, produced * 3 / 4)] {
+        let base = events.first().unwrap().rss;
+        let peak = events.iter().map(|e| e.rss).max().unwrap();
+        let last = events.last().unwrap().rss;
+        assert!(
+            peak - base < bound,
+            "{workers} workers: rss peaked {} KiB over base against {produced} KiB produced",
+            peak - base
+        );
+        assert!(
+            last < peak,
+            "{workers} workers: final rss {last} KiB not below peak {peak} KiB"
+        );
+    }
+}
+
 #[test]
 fn trace_pairs_complete_and_clocks_monotone_per_thread() {
     let cat = catalog();

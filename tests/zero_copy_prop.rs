@@ -1,19 +1,27 @@
-//! Zero-copy storage equivalence: 256 deterministically generated
-//! queries, each executed in the default zero-copy mode and again with
-//! `set_force_copy(true)` (every slice/projection deep-copies, the
-//! storage layer's pre-shared-buffer behaviour). The two runs must
-//! produce byte-identical result sets and identical trace event counts
-//! — sharing buffers is a representation change, never a behaviour
-//! change.
+//! Cross-mode equivalence over 256 deterministically generated queries.
+//!
+//! * Zero-copy storage: each query runs in the default zero-copy mode
+//!   and again with `set_force_copy(true)` (every slice/projection
+//!   deep-copies, the storage layer's pre-shared-buffer behaviour). The
+//!   two runs must produce byte-identical result sets and identical
+//!   trace events — sharing buffers is a representation change, never a
+//!   behaviour change.
+//! * Execution mode: each query runs on the serial interpreter and on
+//!   the dataflow scheduler with 2, 4 and 8 workers. Results must be
+//!   byte-identical, trace events the same multiset, and failures of the
+//!   same kind.
 
 use std::fmt::Write as _;
+use std::mem::discriminant;
 use std::sync::Arc;
 
 use stethoscope::engine::rt::QueryResult;
 use stethoscope::engine::{
-    force_copy, set_force_copy, ExecOptions, Interpreter, ProfilerConfig, VecSink,
+    force_copy, set_force_copy, Catalog, EngineError, ExecOptions, Interpreter, ProfilerConfig,
+    VecSink,
 };
-use stethoscope::mal::Value;
+use stethoscope::mal::{Plan, Value};
+use stethoscope::profiler::EventStatus;
 use stethoscope::sql::{compile, compile_with, CompileOptions};
 use stethoscope::tpch::{generate_catalog, TpchConfig};
 
@@ -135,21 +143,44 @@ fn fingerprint(r: &QueryResult) -> String {
     out
 }
 
-/// Execute profiled; the outcome is either the result fingerprint or
-/// the error text. Some generated predicates select zero rows and make
-/// scalar aggregates nil, which `sql.resultSet` rejects — both storage
-/// modes must then fail with the same error, so errors are compared,
-/// not skipped.
-fn run(interp: &Interpreter, plan: &stethoscope::mal::Plan) -> (Result<String, String>, usize) {
+/// Execute profiled, serially when `workers` is 0 and on the dataflow
+/// scheduler otherwise. The outcome is either the result fingerprint or
+/// the error, plus the multiset of `(pc, status)` trace events. Some
+/// generated predicates select zero rows and make scalar aggregates nil,
+/// which `sql.resultSet` rejects — every mode must then fail the same
+/// way, so errors are compared, not skipped.
+fn run(
+    interp: &Interpreter,
+    plan: &stethoscope::mal::Plan,
+    workers: usize,
+) -> (Result<String, EngineError>, Vec<(usize, bool)>) {
     let sink = VecSink::new();
+    let profiler = ProfilerConfig::to_sink(sink.clone());
+    let opts = if workers == 0 {
+        ExecOptions::profiled(profiler)
+    } else {
+        ExecOptions::parallel(workers, profiler)
+    };
     let outcome = interp
-        .execute(
-            plan,
-            &ExecOptions::profiled(ProfilerConfig::to_sink(sink.clone())),
-        )
-        .map(|out| fingerprint(&out.result.expect("result set")))
-        .map_err(|e| e.to_string());
-    (outcome, sink.take().len())
+        .execute(plan, &opts)
+        .map(|out| fingerprint(&out.result.expect("result set")));
+    let mut events: Vec<(usize, bool)> = sink
+        .take()
+        .iter()
+        .map(|e| (e.pc, e.status == EventStatus::Start))
+        .collect();
+    events.sort_unstable();
+    (outcome, events)
+}
+
+fn compile_case(catalog: &Catalog, case: usize, sql: &str, partitions: usize) -> Plan {
+    if partitions <= 1 {
+        compile(catalog, sql)
+    } else {
+        compile_with(catalog, sql, &CompileOptions::with_partitions(partitions))
+    }
+    .unwrap_or_else(|e| panic!("case {case} failed to compile: {sql}: {e}"))
+    .plan
 }
 
 /// Resets the global copy mode even when an assertion unwinds, so a
@@ -171,17 +202,12 @@ fn zero_copy_matches_forced_copy_on_256_generated_queries() {
 
     for case in 0..256 {
         let (sql, partitions) = gen_query(&mut rng);
-        let q = if partitions <= 1 {
-            compile(&catalog, &sql)
-        } else {
-            compile_with(&catalog, &sql, &CompileOptions::with_partitions(partitions))
-        }
-        .unwrap_or_else(|e| panic!("case {case} failed to compile: {sql}: {e}"));
+        let plan = compile_case(&catalog, case, &sql, partitions);
 
         assert!(!force_copy());
-        let (shared_fp, shared_events) = run(&interp, &q.plan);
+        let (shared_fp, shared_events) = run(&interp, &plan, 0);
         set_force_copy(true);
-        let (copied_fp, copied_events) = run(&interp, &q.plan);
+        let (copied_fp, copied_events) = run(&interp, &plan, 0);
         set_force_copy(false);
 
         assert_eq!(
@@ -190,7 +216,48 @@ fn zero_copy_matches_forced_copy_on_256_generated_queries() {
         );
         assert_eq!(
             shared_events, copied_events,
-            "case {case}: trace event counts diverge\nsql: {sql}"
+            "case {case}: trace events diverge\nsql: {sql}"
         );
+    }
+}
+
+/// The serial interpreter and the dataflow scheduler release each
+/// intermediate after its last reader by different mechanisms (a
+/// last-reader pc versus a count of outstanding readers). Releasing too
+/// early surfaces as `EngineError::Uninitialised` in one mode only.
+#[test]
+fn serial_matches_dataflow_on_256_generated_queries() {
+    let catalog = Arc::new(generate_catalog(&TpchConfig::sf(0.0005)));
+    let interp = Interpreter::new(Arc::clone(&catalog));
+    let mut rng = Lcg(0x005e_ed0f_2012);
+
+    for case in 0..256 {
+        let (sql, partitions) = gen_query(&mut rng);
+        let plan = compile_case(&catalog, case, &sql, partitions);
+        let (serial_fp, serial_events) = run(&interp, &plan, 0);
+        for workers in [2, 4, 8] {
+            let (fp, events) = run(&interp, &plan, workers);
+            match (&serial_fp, &fp) {
+                (Ok(want), Ok(got)) => {
+                    assert_eq!(
+                        want, got,
+                        "case {case}: results diverge with {workers} workers\nsql: {sql}"
+                    );
+                    assert_eq!(
+                        serial_events, events,
+                        "case {case}: trace events diverge with {workers} workers\nsql: {sql}"
+                    );
+                }
+                (Err(want), Err(got)) => assert_eq!(
+                    discriminant(want),
+                    discriminant(got),
+                    "case {case}: error kinds diverge with {workers} workers: \
+                     {want} vs {got}\nsql: {sql}"
+                ),
+                _ => panic!(
+                    "case {case}: serial gave {serial_fp:?}, {workers} workers gave {fp:?}\nsql: {sql}"
+                ),
+            }
+        }
     }
 }
