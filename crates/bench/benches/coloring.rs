@@ -1,5 +1,6 @@
 //! Experiments A1 / A2 / X1 / C2 — the run-time coloring algorithms:
-//! pair-elision over sample-buffer snapshots (A1), the user-threshold
+//! pair-elision over sample-buffer snapshots (A1) and kept incrementally
+//! over a sliding window as the online monitor does, the user-threshold
 //! streaming variant (A2), and the §6 gradient extension (X1). C2
 //! (color-coded monitoring) is the combination measured end-to-end in
 //! `online_session`.
@@ -8,7 +9,7 @@ use std::collections::HashMap;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use stetho_bench::synthetic_trace;
-use stetho_core::{GradientColoring, PairElision, ThresholdColoring};
+use stetho_core::{ElisionWindow, GradientColoring, PairElision, ThresholdColoring};
 
 fn bench_pair_elision(c: &mut Criterion) {
     let mut group = c.benchmark_group("coloring/pair_elision");
@@ -30,6 +31,34 @@ fn bench_pair_elision_diff(c: &mut Criterion) {
     let painted = HashMap::new();
     c.bench_function("coloring/pair_elision_diff_256", |b| {
         b.iter(|| PairElision.diff(&window, &painted).len())
+    });
+}
+
+fn bench_incremental_push(c: &mut Criterion) {
+    // The same per-event step kept incrementally: push one event into a
+    // full 256-event window and collect the round's changes. Each
+    // iteration pushes the next event of a long trace, so the window
+    // slides and evicts as it does online.
+    let trace = synthetic_trace(4096, 4, 7);
+    let mut window = ElisionWindow::new(256);
+    let mut painted = HashMap::new();
+    let mut changes = Vec::new();
+    let mut next = trace.iter().cycle();
+    c.bench_function("coloring/incremental_push_256", |b| {
+        b.iter(|| {
+            let e = next.next().expect("cycle never ends");
+            window.push(e.pc, e.status);
+            changes.clear();
+            window.changes(&painted, &mut changes);
+            for ch in &changes {
+                if ch.state == stetho_core::ColorState::Uncolored {
+                    painted.remove(&ch.pc);
+                } else {
+                    painted.insert(ch.pc, ch.state);
+                }
+            }
+            changes.len()
+        })
     });
 }
 
@@ -72,6 +101,7 @@ fn bench_gradient(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_pair_elision, bench_pair_elision_diff, bench_threshold, bench_gradient
+    targets = bench_pair_elision, bench_pair_elision_diff, bench_incremental_push,
+        bench_threshold, bench_gradient
 }
 criterion_main!(benches);

@@ -39,18 +39,56 @@ fn bench_online(c: &mut Criterion) {
     group.finish();
 }
 
+/// One `online/query/*` row.
+struct QueryRow {
+    row: &'static str,
+    /// Named like the `stetho_tpch::queries` constant the row runs.
+    query: &'static str,
+    sql: &'static str,
+    partitions: usize,
+    workers: usize,
+}
+
+/// `q1_mitosis` has the shape of the benchmark's `online-q1-mitosis`
+/// workload; the others run serial plans.
+const QUERY_ROWS: [QueryRow; 3] = [
+    QueryRow {
+        row: "figure1",
+        query: "FIGURE1",
+        sql: queries::FIGURE1,
+        partitions: 1,
+        workers: 0,
+    },
+    QueryRow {
+        row: "q1",
+        query: "Q1",
+        sql: queries::Q1,
+        partitions: 1,
+        workers: 0,
+    },
+    QueryRow {
+        row: "q1_mitosis",
+        query: "Q1",
+        sql: queries::Q1,
+        partitions: 8,
+        workers: 2,
+    },
+];
+
 fn bench_online_queries(c: &mut Criterion) {
     let cat = catalog(0.002);
     let mut group = c.benchmark_group("online/query");
     group.sample_size(10);
-    for (name, sql) in [("figure1", queries::FIGURE1), ("q1", queries::Q1)] {
-        group.bench_with_input(BenchmarkId::from_parameter(name), &sql, |b, sql| {
+    for r in &QUERY_ROWS {
+        group.bench_with_input(BenchmarkId::from_parameter(r.row), r, |b, r| {
             b.iter(|| {
                 let cfg = OnlineConfig {
                     pacing_ms: 0,
+                    partitions: r.partitions,
+                    workers: r.workers,
                     ..Default::default()
                 };
-                let out = OnlineSession::run(std::sync::Arc::clone(&cat), sql, &cfg).unwrap();
+                let out = OnlineSession::run(std::sync::Arc::clone(&cat), r.sql, &cfg).unwrap();
                 std::fs::remove_file(&cfg.dot_path).ok();
                 std::fs::remove_file(&cfg.trace_path).ok();
                 out.result_rows
@@ -64,13 +102,15 @@ fn bench_online_queries(c: &mut Criterion) {
 fn describe(name: &str) -> Option<Vec<(String, serde_json::Value)>> {
     let (query, pacing, partitions, workers) = match name.split('/').collect::<Vec<_>>()[..] {
         ["online", "end_to_end", "pacing_ms", pacing] => ("Q6", pacing.parse().ok()?, 2, 2),
-        ["online", "query", query] => (query, 0, 1, 0),
+        ["online", "query", row] => {
+            let r = QUERY_ROWS.iter().find(|r| r.row == row)?;
+            (r.query, 0, r.partitions as i64, r.workers as i64)
+        }
         _ => return None,
     };
     Some(vec![
         ("bench".to_string(), text("online_session")),
-        // Named like the `stetho_tpch::queries` constant the row ran.
-        ("query".to_string(), text(&query.to_uppercase())),
+        ("query".to_string(), text(query)),
         ("sf".to_string(), num(0.002)),
         ("pacing_ms".to_string(), int(pacing)),
         ("partitions".to_string(), int(partitions)),

@@ -17,7 +17,7 @@
 //! so its fate is not yet decidable ("presence of more instructions
 //! afterwards") — it stays pending until more of the stream arrives.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 
 use serde::{Deserialize, Serialize};
 use stetho_profiler::{EventStatus, TraceEvent};
@@ -62,9 +62,11 @@ pub struct ColorChange {
 
 /// The §4.2.1 pair-elision algorithm over a (sampled) event buffer.
 ///
-/// Stateless with respect to the stream: it is re-run over the current
-/// [`stetho_profiler::SampleBuffer`] snapshot each round, exactly like
-/// the original which analyses "the buffer content".
+/// Stateless with respect to the stream: it analyses a whole buffer,
+/// exactly like the original which analyses "the buffer content". The
+/// offline replay runs it over the applied prefix; the online monitor
+/// keeps the same classes one event at a time with [`ElisionWindow`],
+/// and this batch form is its oracle.
 #[derive(Debug, Clone, Default)]
 pub struct PairElision;
 
@@ -155,6 +157,205 @@ impl PairElision {
         }
         v.sort_by_key(|c| c.pc);
         v
+    }
+}
+
+/// No event: the end of a per-pc chain in [`ElisionWindow`].
+const NONE: u64 = u64::MAX;
+
+/// One event of an [`ElisionWindow`]: its pc and status, and the stream
+/// index of the next event of the same pc (or [`NONE`]).
+#[derive(Debug, Clone, Copy)]
+struct WindowSlot {
+    pc: usize,
+    status: EventStatus,
+    next: u64,
+}
+
+/// The window's events of one pc, as a chain through the ring.
+#[derive(Debug, Clone, Copy)]
+struct PcChain {
+    /// Stream index of the pc's oldest event in the window, or [`NONE`].
+    first: u64,
+    /// Stream index of its newest event (meaningful when `first` is set).
+    last: u64,
+    /// Queued in `dirty` since the last [`ElisionWindow::changes`].
+    dirty: bool,
+}
+
+/// [`PairElision`] over a sliding window, kept up to date one event at a
+/// time instead of re-analysed per round — a single-pass execution
+/// monitor in the sense of Jahier's Mercury monitor.
+///
+/// It holds only `(pc, status)` per event plus a chain linking each pc's
+/// events. A pc's class depends only on its own events and on the
+/// neighbours of each of them, so a push can change the class of at most
+/// three pcs: the new event's, the previous event's (a start that was
+/// last becomes decidable; a done that closed a trailing pair, whose
+/// start has the same pc, stops trailing and the pair elides), and the
+/// evicted event's (its done loses its start). `push` marks those
+/// dirty; [`ElisionWindow::changes`] re-folds only the dirty pcs, each
+/// over its own events. For streams with a bounded number of events per
+/// pc both are amortised O(1), and neither allocates once the ring and
+/// the pc map have grown to the window's size.
+///
+/// `changes` reports exactly what `PairElision.diff(window, painted)`
+/// reports, reverts and evictions included, when `painted` holds what
+/// the previous `changes` reported (or is empty and no `changes` ran
+/// yet). The machine is `Clone`, so a replay can snapshot and restore
+/// it, and an unbounded capacity turns it into the analysis of a prefix.
+#[derive(Debug, Clone)]
+pub struct ElisionWindow {
+    capacity: usize,
+    /// Stream index of `ring[0]`.
+    head: u64,
+    ring: VecDeque<WindowSlot>,
+    pcs: HashMap<usize, PcChain>,
+    dirty: Vec<usize>,
+    evicted: u64,
+}
+
+impl ElisionWindow {
+    /// A window over the last `capacity` events. Capacity 0 is clamped to
+    /// 1, as in [`stetho_profiler::SampleBuffer`].
+    pub fn new(capacity: usize) -> Self {
+        ElisionWindow {
+            capacity: capacity.max(1),
+            head: 0,
+            ring: VecDeque::new(),
+            pcs: HashMap::new(),
+            dirty: Vec::new(),
+            evicted: 0,
+        }
+    }
+
+    /// Events currently in the window.
+    pub fn len(&self) -> usize {
+        self.ring.len()
+    }
+
+    /// True when the window holds no events.
+    pub fn is_empty(&self) -> bool {
+        self.ring.is_empty()
+    }
+
+    /// Events evicted from the window so far (the sampling loss).
+    pub fn evicted(&self) -> u64 {
+        self.evicted
+    }
+
+    /// Append one event, evicting the oldest when the window is full.
+    pub fn push(&mut self, pc: usize, status: EventStatus) {
+        if self.ring.len() == self.capacity {
+            let old = self.ring.pop_front().expect("a full window is not empty");
+            self.head += 1;
+            self.evicted += 1;
+            self.chain(old.pc).first = old.next;
+            self.mark(old.pc);
+        }
+        if let Some(prev) = self.ring.back() {
+            self.mark(prev.pc);
+        }
+        let at = self.head + self.ring.len() as u64;
+        self.ring.push_back(WindowSlot {
+            pc,
+            status,
+            next: NONE,
+        });
+        let chain = self.chain(pc);
+        let last = (chain.first != NONE).then_some(chain.last);
+        if chain.first == NONE {
+            chain.first = at;
+        }
+        chain.last = at;
+        if let Some(last) = last {
+            let i = (last - self.head) as usize;
+            self.ring[i].next = at;
+        }
+        self.mark(pc);
+    }
+
+    /// Append to `out`, in pc order, every dirty pc whose class differs
+    /// from `painted` (a pc absent from `painted` counts as
+    /// `Uncolored`), and clear the dirty set.
+    pub fn changes(&mut self, painted: &HashMap<usize, ColorState>, out: &mut Vec<ColorChange>) {
+        let mut dirty = std::mem::take(&mut self.dirty);
+        dirty.sort_unstable();
+        for &pc in &dirty {
+            let state = self.state(pc);
+            if state != painted.get(&pc).copied().unwrap_or(ColorState::Uncolored) {
+                out.push(ColorChange { pc, state });
+            }
+            let chain = self.pcs.get_mut(&pc).expect("dirty pcs have a chain");
+            if chain.first == NONE {
+                self.pcs.remove(&pc);
+            } else {
+                chain.dirty = false;
+            }
+        }
+        dirty.clear();
+        self.dirty = dirty;
+    }
+
+    /// The pair-elision class of `pc` over the current window, as
+    /// [`PairElision::analyse`] gives it (`Uncolored` when absent).
+    pub fn state(&self, pc: usize) -> ColorState {
+        let end = self.head + self.ring.len() as u64;
+        let mut state = None;
+        let mut at = self.pcs.get(&pc).map_or(NONE, |c| c.first);
+        while at != NONE {
+            let slot = self.slot(at);
+            match slot.status {
+                EventStatus::Start => {
+                    let pair = (at + 1 < end)
+                        .then(|| self.slot(at + 1))
+                        .filter(|d| d.pc == pc && d.status == EventStatus::Done);
+                    if let Some(done) = pair {
+                        state = Some(if at + 2 < end {
+                            ColorState::Uncolored
+                        } else {
+                            ColorState::Green
+                        });
+                        at = done.next;
+                        continue;
+                    }
+                    if at + 1 == end {
+                        state.get_or_insert(ColorState::Uncolored);
+                    } else {
+                        state = Some(ColorState::Red);
+                    }
+                }
+                EventStatus::Done => {
+                    if state == Some(ColorState::Red) {
+                        state = Some(ColorState::Green);
+                    } else {
+                        state.get_or_insert(ColorState::Uncolored);
+                    }
+                }
+            }
+            at = slot.next;
+        }
+        state.unwrap_or(ColorState::Uncolored)
+    }
+
+    fn slot(&self, at: u64) -> WindowSlot {
+        self.ring[(at - self.head) as usize]
+    }
+
+    fn chain(&mut self, pc: usize) -> &mut PcChain {
+        self.pcs.entry(pc).or_insert(PcChain {
+            first: NONE,
+            last: NONE,
+            dirty: false,
+        })
+    }
+
+    fn mark(&mut self, pc: usize) {
+        let chain = self.chain(pc);
+        if !chain.dirty {
+            chain.dirty = true;
+            self.dirty.push(pc);
+        }
     }
 }
 

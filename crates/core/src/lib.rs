@@ -41,7 +41,7 @@ pub mod script;
 pub mod session;
 
 pub use analysis::SessionReport;
-pub use color::{ColorState, GradientColoring, PairElision, ThresholdColoring};
+pub use color::{ColorState, ElisionWindow, GradientColoring, PairElision, ThresholdColoring};
 pub use mapping::TraceDotMap;
 pub use metrics::SessionMetrics;
 pub use progress::{InstrState, ProgressModel, ProgressSnapshot};

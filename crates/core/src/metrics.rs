@@ -27,7 +27,7 @@ use crate::progress::ProgressSnapshot;
 #[derive(Debug, Clone)]
 pub struct SessionMetrics {
     /// `stetho_session_analyse_usec` — per-round run-time analysis
-    /// latency (sample-buffer snapshot + pair-elision + EDT enqueue).
+    /// latency (pair-elision round + EDT enqueue).
     pub analyse_usec: Histogram,
     /// `stetho_edt_rounds_total` — analyse/dispatch rounds run.
     pub edt_rounds: Counter,
@@ -115,9 +115,13 @@ impl SessionMetrics {
 /// every snapshot. The bridge holds only the shared atomic block, so it
 /// stays valid after the session (and its stethoscope thread) ends.
 pub fn bridge_transport(registry: &Registry, counters: Arc<TransportCounters>) {
+    let datagrams = registry.counter(
+        "stetho_transport_datagrams_total",
+        "Datagrams decoded, each carrying one or more frames",
+    );
     let received = registry.counter(
         "stetho_transport_received_total",
-        "Framed datagrams whose header decoded",
+        "Frames whose header decoded",
     );
     let reordered = registry.counter(
         "stetho_transport_reordered_total",
@@ -129,7 +133,7 @@ pub fn bridge_transport(registry: &Registry, counters: Arc<TransportCounters>) {
     );
     let lost = registry.counter(
         "stetho_transport_lost_total",
-        "Datagrams covered by emitted Lost gaps",
+        "Frames covered by emitted Lost gaps",
     );
     let dropped_backpressure = registry.counter(
         "stetho_transport_dropped_backpressure_total",
@@ -140,6 +144,7 @@ pub fn bridge_transport(registry: &Registry, counters: Arc<TransportCounters>) {
         "Lines or frames that could not be understood",
     );
     registry.register_collector(move || {
+        datagrams.set(counters.datagrams.load(Ordering::Relaxed));
         received.set(counters.received.load(Ordering::Relaxed));
         reordered.set(counters.reordered.load(Ordering::Relaxed));
         duplicated.set(counters.duplicated.load(Ordering::Relaxed));

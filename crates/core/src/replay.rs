@@ -68,45 +68,48 @@ pub struct ReplayController {
 }
 
 /// Repair a trace that lost events to an unreliable transport: every pc
-/// left with more `start`s than `done`s gets a synthesized `done`
-/// appended (zero duration, clock just past the trace end), so
-/// pair-elision coloring and replay converge to a terminal frame
-/// instead of leaving nodes RED forever. Returns how many events were
-/// synthesized. Synthesized events reuse the pc's last-seen statement
-/// text and thread.
-pub fn repair_lost_dones(events: &mut Vec<TraceEvent>) -> usize {
-    let mut open: HashMap<usize, (i64, TraceEvent)> = HashMap::new();
+/// left with more `start`s than `done`s gets a synthesized `done` (zero
+/// duration, clock just past the trace end), so pair-elision coloring
+/// and replay converge to a terminal frame instead of leaving nodes RED
+/// forever. Returns the synthesized events, in pc order, to append after
+/// `events`. They reuse the pc's last-seen statement text and thread.
+pub fn repair_lost_dones(events: &[TraceEvent]) -> Vec<TraceEvent> {
+    // pc -> (starts minus dones, index of its last event)
+    let mut open: HashMap<usize, (i64, usize)> = HashMap::new();
     let mut max_clk = 0u64;
     let mut max_id = 0u64;
-    for e in events.iter() {
+    for (i, e) in events.iter().enumerate() {
         max_clk = max_clk.max(e.clk);
         max_id = max_id.max(e.event);
-        let entry = open.entry(e.pc).or_insert_with(|| (0, e.clone()));
-        entry.1 = e.clone();
+        let entry = open.entry(e.pc).or_insert((0, i));
+        entry.1 = i;
         match e.status {
             EventStatus::Start => entry.0 += 1,
             EventStatus::Done => entry.0 -= 1,
         }
     }
-    let mut dangling: Vec<(usize, TraceEvent)> = open
+    let mut dangling: Vec<(usize, usize)> = open
         .into_iter()
         .filter(|(_, (balance, _))| *balance > 0)
         .map(|(pc, (_, last))| (pc, last))
         .collect();
-    dangling.sort_by_key(|(pc, _)| *pc);
-    let synthesized = dangling.len();
-    for (i, (pc, last)) in dangling.into_iter().enumerate() {
-        events.push(TraceEvent::done(
-            max_id + 1 + i as u64,
-            pc,
-            last.thread,
-            max_clk + 1,
-            0,
-            last.rss,
-            last.stmt.clone(),
-        ));
-    }
-    synthesized
+    dangling.sort_unstable();
+    dangling
+        .into_iter()
+        .enumerate()
+        .map(|(i, (pc, last))| {
+            let last = &events[last];
+            TraceEvent::done(
+                max_id + 1 + i as u64,
+                pc,
+                last.thread,
+                max_clk + 1,
+                0,
+                last.rss,
+                last.stmt.clone(),
+            )
+        })
+        .collect()
 }
 
 impl ReplayController {
@@ -130,8 +133,10 @@ impl ReplayController {
     /// [`repair_lost_dones`]). Returns the controller and the number of
     /// events synthesized.
     pub fn new_lossy(mut events: Vec<TraceEvent>) -> (Self, usize) {
-        let synthesized = repair_lost_dones(&mut events);
-        (Self::new(events), synthesized)
+        let synthesized = repair_lost_dones(&events);
+        let n = synthesized.len();
+        events.extend(synthesized);
+        (Self::new(events), n)
     }
 
     /// All events.
@@ -466,8 +471,9 @@ mod tests {
             TraceEvent::done(1, 0, 0, 10, 10, 0, "a.b();"),
             TraceEvent::start(2, 1, 1, 12, 0, "c.d();"),
         ];
-        let n = repair_lost_dones(&mut v);
-        assert_eq!(n, 1);
+        let synthesized = repair_lost_dones(&v);
+        assert_eq!(synthesized.len(), 1);
+        v.extend(synthesized);
         assert_eq!(v.len(), 4);
         let synth = v.last().unwrap();
         assert_eq!(synth.pc, 1);
@@ -481,9 +487,8 @@ mod tests {
 
     #[test]
     fn repair_is_idempotent_on_complete_traces() {
-        let mut v = trace(5);
-        assert_eq!(repair_lost_dones(&mut v), 0);
-        assert_eq!(v.len(), 10);
+        let v = trace(5);
+        assert!(repair_lost_dones(&v).is_empty());
     }
 
     #[test]

@@ -41,14 +41,12 @@ use stetho_profiler::chaos::{ChaosConfig, ChaosLink, ChaosReport};
 use stetho_profiler::reassembly::TransportStats;
 use stetho_profiler::tracefile::TraceWriter;
 use stetho_profiler::udp::{StreamItem, StreamRecvError};
-use stetho_profiler::{
-    FilterOptions, ProfilerEmitter, SampleBuffer, TextualStethoscope, TraceEvent,
-};
+use stetho_profiler::{FilterOptions, ProfilerEmitter, TextualStethoscope, TraceEvent};
 use stetho_sql::{compile_with, CompileOptions};
 use stetho_zvtm::edt::EdtStats;
 use stetho_zvtm::{EventDispatchThread, VirtualSpace};
 
-use crate::color::{ColorState, PairElision, ThresholdColoring};
+use crate::color::{ColorState, ElisionWindow, PairElision, ThresholdColoring};
 use crate::mapping::TraceDotMap;
 use crate::metrics::SessionMetrics;
 use crate::progress::{InstrState, ProgressModel, ProgressSnapshot};
@@ -167,7 +165,8 @@ struct Monitor<'a> {
     view: Option<PlanView>,
     trace_writer: TraceWriter,
     events: Vec<TraceEvent>,
-    sample: SampleBuffer,
+    /// The sample buffer of §4.2, kept as pair-elision state.
+    window: ElisionWindow,
     edt: EventDispatchThread,
     threshold: Option<ThresholdColoring>,
     progress: ProgressModel,
@@ -229,18 +228,19 @@ impl Monitor<'_> {
             self.trace_writer.write_event(&event)?;
         }
         self.progress.on_event(&event);
-        self.sample.push(event.clone());
+        self.window.push(event.pc, event.status);
         if let Some(t) = self.threshold.as_mut() {
             t.on_event(&event);
             t.on_tick(event.clk);
         }
         self.events.push(event);
-        // Run-time analysis over the sample buffer (§4.2.1). Changes are
-        // dropped until the dot is adopted.
+        // Run-time analysis over the sample buffer (§4.2.1). Until the
+        // dot is adopted the window only collects dirty pcs; the first
+        // round paints them all.
         let round_started = Instant::now();
         if let Some(view) = self.view.as_mut() {
             let now_ms = self.started.elapsed().as_millis() as u64;
-            view.paint(&self.sample.snapshot(), &mut self.edt, now_ms);
+            view.paint_window(&mut self.window, &mut self.edt, now_ms);
             self.edt.advance_into(now_ms, &mut view.space);
         }
         if let Some(m) = &self.metrics {
@@ -249,7 +249,7 @@ impl Monitor<'_> {
                 self.cfg.pacing_ms,
             );
             m.edt_queue_depth.set(self.edt.backlog() as f64);
-            m.samples_dropped.set(self.sample.lifetime_dropped());
+            m.samples_dropped.set(self.window.evicted());
             m.set_progress(&self.progress.snapshot());
         }
         Ok(())
@@ -263,9 +263,9 @@ impl Monitor<'_> {
         if self.saw_eot && self.lost_gaps.is_empty() {
             return Ok(0);
         }
-        let mut repaired = self.events.clone();
-        let synthesized = repair_lost_dones(&mut repaired);
-        for e in repaired.split_off(self.events.len()) {
+        let synthesized = repair_lost_dones(&self.events);
+        let n = synthesized.len();
+        for e in synthesized {
             self.ingest_event(e, true)?;
         }
         for pc in 0..self.plan.len() {
@@ -273,7 +273,7 @@ impl Monitor<'_> {
                 self.progress.mark_lost(pc);
             }
         }
-        Ok(synthesized)
+        Ok(n)
     }
 }
 
@@ -347,7 +347,7 @@ impl OnlineSession {
             view: None,
             trace_writer: TraceWriter::create(&cfg.trace_path)?,
             events: Vec::new(),
-            sample: SampleBuffer::new(cfg.sample_capacity),
+            window: ElisionWindow::new(cfg.sample_capacity),
             edt: EventDispatchThread::new(cfg.pacing_ms),
             threshold: cfg.threshold_usec.map(ThresholdColoring::new),
             progress: ProgressModel::new(&plan),
@@ -399,7 +399,7 @@ impl OnlineSession {
             lost_gaps,
             garbled_lines,
             dot_degraded,
-            sample,
+            window,
             metrics,
             ..
         } = mon;
@@ -439,7 +439,7 @@ impl OnlineSession {
             final_states,
             threshold_states,
             edt_stats: edt.stats,
-            samples_dropped: sample.dropped(),
+            samples_dropped: window.evicted(),
             result_rows,
             progress: progress.snapshot(),
             elapsed: started.elapsed(),

@@ -12,7 +12,7 @@ use stetho_mal::Plan;
 use stetho_profiler::{ProfilerEmitter, StopHandle, TraceEvent};
 use stetho_zvtm::{EventDispatchThread, VirtualSpace};
 
-use crate::color::{ColorState, PairElision};
+use crate::color::{ColorChange, ColorState, ElisionWindow, PairElision};
 use crate::mapping::TraceDotMap;
 use crate::session::SessionError;
 
@@ -28,6 +28,8 @@ pub struct PlanView {
     pub map: TraceDotMap,
     /// Non-`Uncolored` states as last enqueued on the EDT.
     painted: HashMap<usize, ColorState>,
+    /// One round's changes; kept to reuse its allocation.
+    changes: Vec<ColorChange>,
 }
 
 impl PlanView {
@@ -44,6 +46,7 @@ impl PlanView {
             space,
             map,
             painted: HashMap::new(),
+            changes: Vec::new(),
         })
     }
 
@@ -57,7 +60,27 @@ impl PlanView {
         edt: &mut EventDispatchThread,
         now_ms: u64,
     ) {
-        for c in PairElision.diff(window, &self.painted) {
+        self.changes = PairElision.diff(window, &self.painted);
+        self.apply(edt, now_ms);
+    }
+
+    /// [`PlanView::paint`] for a window kept incrementally: only the pcs
+    /// `window` marked dirty since the last round are compared against
+    /// what is painted, which yields the same changes in the same order.
+    pub(crate) fn paint_window(
+        &mut self,
+        window: &mut ElisionWindow,
+        edt: &mut EventDispatchThread,
+        now_ms: u64,
+    ) {
+        self.changes.clear();
+        window.changes(&self.painted, &mut self.changes);
+        self.apply(edt, now_ms);
+    }
+
+    /// Enqueue this round's changes and record them as painted.
+    fn apply(&mut self, edt: &mut EventDispatchThread, now_ms: u64) {
+        for c in &self.changes {
             if let Some(g) = self.map.shape_of_pc(c.pc) {
                 edt.enqueue(g, c.state.fill(), now_ms);
             }

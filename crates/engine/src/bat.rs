@@ -673,10 +673,12 @@ impl Bat {
             ColumnView::Int(v) => pick!(v, ColumnData::Int, |x: &i64| *x),
             ColumnView::Dbl(v) => pick!(v, ColumnData::Dbl, |x: &f64| *x),
             ColumnView::Str(v) => {
-                let codes: Vec<u32> = positions
-                    .iter()
-                    .map(|&o| check(o).map(|i| v.codes[i]))
-                    .collect::<Result<_>>()?;
+                // Sized up front: collecting a `Result` iterator has no
+                // size hint and would grow the vector by doubling.
+                let mut codes = Vec::with_capacity(positions.len());
+                for &o in positions {
+                    codes.push(v.codes[check(o)?]);
+                }
                 return Ok(self.with_codes(codes));
             }
             ColumnView::Oid(v) => pick!(v, ColumnData::Oid, |x: &u64| *x),
@@ -861,6 +863,20 @@ mod tests {
         let col = Bat::ints(vec![10, 20, 30, 40]);
         let out = col.gather(&[3, 1]).unwrap();
         assert_eq!(out.as_ints().unwrap(), &[40, 20]);
+    }
+
+    #[test]
+    fn string_gather_rejects_an_out_of_range_oid() {
+        let col = Bat::strs(vec!["aa".into(), "bb".into()]);
+        assert!(matches!(
+            col.gather(&[1, 2, 0]),
+            Err(EngineError::OidOutOfRange { oid: 2, len: 2 })
+        ));
+        let window = col.slice(1, 2);
+        assert!(matches!(
+            window.gather(&[0, 1]),
+            Err(EngineError::OidOutOfRange { oid: 1, len: 1 })
+        ));
     }
 
     #[test]

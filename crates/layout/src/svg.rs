@@ -6,6 +6,7 @@
 //! — mirroring how the original Stethoscope parsed GraphViz's SVG output
 //! back into an in-memory graph structure (§4).
 
+use std::borrow::Cow;
 use std::fmt;
 use std::fmt::Write as _;
 
@@ -44,41 +45,39 @@ pub fn write_svg(scene: &SceneGraph) -> String {
 }
 
 /// Render with per-node fill overrides (used for RED/GREEN execution
-/// state frames).
+/// state frames). When a node has several overrides, the last one wins.
 pub fn write_svg_styled(scene: &SceneGraph, styles: &NodeStyles) -> String {
-    let mut out = String::new();
+    let mut out = String::with_capacity(128 * scene.edges.len() + 256 * scene.nodes.len());
     let _ = writeln!(
         out,
         r#"<svg xmlns="http://www.w3.org/2000/svg" width="{:.1}" height="{:.1}" viewBox="0 0 {:.1} {:.1}">"#,
         scene.width, scene.height, scene.width, scene.height
     );
     for e in &scene.edges {
-        let pts: Vec<String> = e
-            .points
-            .iter()
-            .map(|(x, y)| format!("{x:.1},{y:.1}"))
-            .collect();
-        let label_attr = match &e.label {
-            Some(l) => format!(r#" data-label="{}""#, esc(l)),
-            None => String::new(),
-        };
-        let _ = writeln!(
+        let _ = write!(
             out,
-            r##"  <polyline class="edge" data-from="{}" data-to="{}"{} points="{}" fill="none" stroke="#555"/>"##,
-            e.from,
-            e.to,
-            label_attr,
-            pts.join(" ")
+            r#"  <polyline class="edge" data-from="{}" data-to="{}""#,
+            e.from, e.to
         );
+        if let Some(l) = &e.label {
+            let _ = write!(out, r#" data-label="{}""#, esc(l));
+        }
+        out.push_str(r#" points=""#);
+        for (i, (x, y)) in e.points.iter().enumerate() {
+            if i > 0 {
+                out.push(' ');
+            }
+            let _ = write!(out, "{x:.1},{y:.1}");
+        }
+        out.push_str("\" fill=\"none\" stroke=\"#555\"/>\n");
     }
-    for (i, n) in scene.nodes.iter().enumerate() {
-        let fill = styles
-            .fills
-            .iter()
-            .rev()
-            .find(|(idx, _)| *idx == i)
-            .map(|(_, c)| c.as_str())
-            .unwrap_or("#f0f0f0");
+    let mut fills: Vec<Option<&str>> = vec![None; scene.nodes.len()];
+    for (idx, color) in &styles.fills {
+        if let Some(fill) = fills.get_mut(*idx) {
+            *fill = Some(color);
+        }
+    }
+    for (n, fill) in scene.nodes.iter().zip(fills) {
         let _ = writeln!(out, r#"  <g class="node" id="{}">"#, esc(&n.name));
         let _ = writeln!(
             out,
@@ -87,7 +86,7 @@ pub fn write_svg_styled(scene: &SceneGraph, styles: &NodeStyles) -> String {
             n.y - n.h / 2.0,
             n.w,
             n.h,
-            fill
+            fill.unwrap_or("#f0f0f0")
         );
         let _ = writeln!(
             out,
@@ -96,24 +95,63 @@ pub fn write_svg_styled(scene: &SceneGraph, styles: &NodeStyles) -> String {
             n.y + 4.0,
             esc(&n.label)
         );
-        let _ = writeln!(out, "  </g>");
+        out.push_str("  </g>\n");
     }
     out.push_str("</svg>\n");
     out
 }
 
-fn esc(s: &str) -> String {
-    s.replace('&', "&amp;")
-        .replace('<', "&lt;")
-        .replace('>', "&gt;")
-        .replace('"', "&quot;")
+/// Escape the four characters the writer's attributes and text bodies
+/// cannot hold; borrows when there is nothing to escape.
+fn esc(s: &str) -> Cow<'_, str> {
+    if !s.contains(['&', '<', '>', '"']) {
+        return Cow::Borrowed(s);
+    }
+    let mut out = String::with_capacity(s.len() + 16);
+    for c in s.chars() {
+        match c {
+            '&' => out.push_str("&amp;"),
+            '<' => out.push_str("&lt;"),
+            '>' => out.push_str("&gt;"),
+            '"' => out.push_str("&quot;"),
+            c => out.push(c),
+        }
+    }
+    Cow::Owned(out)
 }
 
-fn unesc(s: &str) -> String {
-    s.replace("&lt;", "<")
-        .replace("&gt;", ">")
-        .replace("&quot;", "\"")
-        .replace("&amp;", "&")
+/// Undo [`esc`]; borrows when there is no entity. Any other `&` stays as
+/// it is.
+fn unesc(s: &str) -> Cow<'_, str> {
+    if !s.contains('&') {
+        return Cow::Borrowed(s);
+    }
+    let mut out = String::with_capacity(s.len());
+    let mut rest = s;
+    while let Some(i) = rest.find('&') {
+        out.push_str(&rest[..i]);
+        rest = &rest[i..];
+        let entity = [
+            ("&lt;", '<'),
+            ("&gt;", '>'),
+            ("&quot;", '"'),
+            ("&amp;", '&'),
+        ]
+        .into_iter()
+        .find(|(name, _)| rest.starts_with(name));
+        match entity {
+            Some((name, c)) => {
+                out.push(c);
+                rest = &rest[name.len()..];
+            }
+            None => {
+                out.push('&');
+                rest = &rest[1..];
+            }
+        }
+    }
+    out.push_str(rest);
+    Cow::Owned(out)
 }
 
 /// Parse SVG produced by [`write_svg`] back into a scene graph.
@@ -145,12 +183,12 @@ pub fn parse_svg(text: &str) -> Result<SceneGraph, SvgError> {
                 from,
                 to,
                 points,
-                label: attr(rest, "data-label").map(|s| unesc(&s)),
+                label: attr(rest, "data-label").map(|s| unesc(s).into_owned()),
             });
         } else if let Some(rest) = line.strip_prefix("<g class=\"node\"") {
             let name = attr(rest, "id").ok_or_else(|| err("node id"))?;
             pending_node = Some(SceneNode {
-                name: unesc(&name),
+                name: unesc(name).into_owned(),
                 label: String::new(),
                 x: 0.0,
                 y: 0.0,
@@ -173,7 +211,7 @@ pub fn parse_svg(text: &str) -> Result<SceneGraph, SvgError> {
                 let start = line.find('>').ok_or_else(|| err("text body"))?;
                 let end = line.rfind("</text>").ok_or_else(|| err("text close"))?;
                 if start < end {
-                    node.label = unesc(&line[start + 1..end]);
+                    node.label = unesc(&line[start + 1..end]).into_owned();
                 }
             }
         } else if line.starts_with("</g>") {
@@ -188,11 +226,17 @@ pub fn parse_svg(text: &str) -> Result<SceneGraph, SvgError> {
     Ok(scene)
 }
 
-fn attr(s: &str, name: &str) -> Option<String> {
-    let pat = format!("{name}=\"");
-    let start = s.find(&pat)? + pat.len();
-    let end = s[start..].find('"')? + start;
-    Some(s[start..end].to_string())
+/// The value of the first `name="…"` in `s`.
+fn attr<'a>(s: &'a str, name: &str) -> Option<&'a str> {
+    let mut from = 0;
+    while let Some(i) = s[from..].find(name) {
+        let at = from + i;
+        if let Some(value) = s[at + name.len()..].strip_prefix("=\"") {
+            return value.find('"').map(|end| &value[..end]);
+        }
+        from = at + 1;
+    }
+    None
 }
 
 fn attr_f(s: &str, name: &str) -> Option<f64> {
@@ -270,6 +314,46 @@ mod tests {
         assert!(svg.contains(r#"fill="red""#));
         assert!(svg.contains(r#"fill="green""#));
         assert!(svg.contains(r##"fill="#f0f0f0""##));
+    }
+
+    #[test]
+    fn later_fill_override_wins_and_stray_indices_are_ignored() {
+        let s = scene();
+        let styles = NodeStyles {
+            fills: vec![(1, "red".into()), (99, "blue".into()), (1, "green".into())],
+        };
+        let svg = write_svg_styled(&s, &styles);
+        assert!(svg.contains(r#"fill="green""#));
+        assert!(!svg.contains(r#"fill="red""#));
+        assert!(!svg.contains(r#"fill="blue""#));
+    }
+
+    #[test]
+    fn unescape_matches_sequential_replacement() {
+        // Reference decoder: one replacement per entity, `&amp;` last.
+        let sequential = |s: &str| {
+            s.replace("&lt;", "<")
+                .replace("&gt;", ">")
+                .replace("&quot;", "\"")
+                .replace("&amp;", "&")
+        };
+        for s in [
+            "plain",
+            "&amp;lt;",
+            "&&lt;;",
+            "&amp;amp;",
+            "a &lt b",
+            "&",
+            "&quot&quot;",
+            "x&gt;&amp;&lt;y",
+            "&am&lt;p;",
+            "tail &",
+        ] {
+            assert_eq!(unesc(s), sequential(s), "{s}");
+            assert_eq!(unesc(&esc(s)), s, "{s}");
+        }
+        assert!(matches!(esc("no entity"), Cow::Borrowed(_)));
+        assert!(matches!(unesc("no entity"), Cow::Borrowed(_)));
     }
 
     #[test]

@@ -10,19 +10,24 @@
 //! The link keeps an exact [`ChaosReport`] of what it did, with the
 //! bookkeeping arranged so the receiver-side
 //! [`TransportStats`](crate::reassembly::TransportStats) can be
-//! reconciled against it *exactly*:
+//! reconciled against it *exactly*. Faults strike whole datagrams, and a
+//! datagram may carry several frames (one per line after a `%frm `
+//! header), so every count is kept twice: in datagrams, and in the
+//! frames those datagrams carried, which is what the receiver sequences.
 //!
 //! * faults are mutually exclusive per datagram (one uniform draw picks
 //!   drop > truncate > duplicate > reorder > clean), so each count
-//!   attributes one datagram to one fate;
+//!   attributes one datagram, and all of its frames, to one fate;
 //! * truncation keeps only the first 1..=4 bytes — always inside the
 //!   `%frm ` prefix — so a truncated datagram can never be sequenced and
 //!   surfaces as exactly one legacy `Garbled` item (`garbled ==
-//!   truncated`) and one missing sequence number (`lost == dropped +
-//!   truncated − invisible_tail`);
+//!   truncated`) and as missing sequence numbers for all of its frames
+//!   (`lost == frames_dropped + frames_truncated −
+//!   frames_invisible_tail`);
 //! * a delayed datagram counts as `reordered` only if some intact
 //!   datagram with a higher per-source index was already delivered,
-//!   which is precisely the receiver's `seq < max_seen` rule.
+//!   which is precisely the receiver's `seq < max_seen` rule for each of
+//!   its frames.
 //!
 //! `invisible_tail` covers the blind spot both sides share: datagrams
 //! destroyed *after* the last intact delivery of their source leave no
@@ -38,6 +43,8 @@ use std::time::{Duration, Instant};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use crate::wire::FRAME_PREFIX;
+
 /// Fault schedule for a [`ChaosLink`].
 #[derive(Debug, Clone, Copy)]
 pub struct ChaosConfig {
@@ -52,8 +59,9 @@ pub struct ChaosConfig {
     /// Probability a datagram is delayed behind later traffic.
     pub reorder_rate: f64,
     /// Maximum number of later datagrams a delayed one can slip behind.
-    /// Must stay below the receiver's reorder window or delay turns
-    /// into declared loss.
+    /// The frames those datagrams carry must stay below the receiver's
+    /// reorder window (counted in frames) or delay turns into declared
+    /// loss.
     pub reorder_depth: u64,
 }
 
@@ -84,7 +92,8 @@ impl ChaosConfig {
     }
 }
 
-/// What the link did to the traffic, in exact counts.
+/// What the link did to the traffic, in exact counts: per datagram, and
+/// per frame carried by those datagrams.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ChaosReport {
     /// Datagrams offered by emitters.
@@ -104,12 +113,40 @@ pub struct ChaosReport {
     /// Dropped/truncated datagrams after the last intact delivery of
     /// their source — gaps no later frame can reveal to the receiver.
     pub invisible_tail: u64,
+    /// Frames in the datagrams offered.
+    pub frames_sent: u64,
+    /// Frames in the datagrams handed to the receiver (truncated ones
+    /// and duplicate copies included).
+    pub frames_delivered: u64,
+    /// Frames in dropped datagrams.
+    pub frames_dropped: u64,
+    /// Frames in truncated datagrams.
+    pub frames_truncated: u64,
+    /// Frames in the extra copies injected by duplication.
+    pub frames_duplicated: u64,
+    /// Frames in datagrams delivered out of order.
+    pub frames_reordered: u64,
+    /// Frames in the datagrams counted by `invisible_tail`.
+    pub frames_invisible_tail: u64,
+}
+
+/// Frames a datagram carries: one per non-empty line of a datagram that
+/// starts with the frame header, none in legacy traffic.
+fn frame_count(bytes: &[u8]) -> u64 {
+    if !bytes.starts_with(FRAME_PREFIX.as_bytes()) {
+        return 0;
+    }
+    bytes
+        .split(|&b| b == b'\n')
+        .filter(|line| !line.is_empty())
+        .count() as u64
 }
 
 #[derive(Debug)]
 struct Pending {
     source: SocketAddr,
     idx: u64,
+    frames: u64,
     release_after: u64,
     bytes: Vec<u8>,
 }
@@ -119,8 +156,9 @@ struct SourceAcct {
     sends: u64,
     /// Highest per-source index delivered intact so far.
     max_intact: Option<u64>,
-    /// Per-source indices destroyed (dropped or truncated).
-    destroyed: Vec<u64>,
+    /// Per-source indices destroyed (dropped or truncated), with their
+    /// frame counts.
+    destroyed: Vec<(u64, u64)>,
 }
 
 struct LinkState {
@@ -204,16 +242,14 @@ impl ChaosLink {
     pub fn report(&self) -> ChaosReport {
         let st = self.shared.state.lock().expect("chaos link poisoned");
         let mut r = st.report;
-        r.invisible_tail = st
-            .sources
-            .values()
-            .map(|s| {
-                s.destroyed
-                    .iter()
-                    .filter(|&&idx| s.max_intact.is_none_or(|m| idx > m))
-                    .count() as u64
-            })
-            .sum();
+        for s in st.sources.values() {
+            for &(idx, frames) in &s.destroyed {
+                if s.max_intact.is_none_or(|m| idx > m) {
+                    r.invisible_tail += 1;
+                    r.frames_invisible_tail += frames;
+                }
+            }
+        }
         r
     }
 }
@@ -244,7 +280,9 @@ impl ChaosEndpoint {
     pub fn send(&self, bytes: &[u8]) {
         let mut st = self.shared.state.lock().expect("chaos link poisoned");
         let st = &mut *st;
+        let frames = frame_count(bytes);
         st.report.sent += 1;
+        st.report.frames_sent += frames;
         let acct = st.sources.entry(self.addr).or_default();
         let idx = acct.sends;
         acct.sends += 1;
@@ -257,25 +295,30 @@ impl ChaosEndpoint {
         let reord_to = dup_to + cfg.reorder_rate;
         if u < drop_to {
             st.report.dropped += 1;
+            st.report.frames_dropped += frames;
             st.sources
                 .get_mut(&self.addr)
                 .expect("acct")
                 .destroyed
-                .push(idx);
+                .push((idx, frames));
         } else if u < trunc_to {
             st.report.truncated += 1;
+            st.report.frames_truncated += frames;
             st.report.delivered += 1;
+            st.report.frames_delivered += frames;
             let keep = st.rng.gen_range(1..=4usize).min(bytes.len().max(1));
             let garbage = bytes[..keep.min(bytes.len())].to_vec();
             st.sources
                 .get_mut(&self.addr)
                 .expect("acct")
                 .destroyed
-                .push(idx);
+                .push((idx, frames));
             st.queue.push_back((self.addr, garbage));
         } else if u < dup_to {
             st.report.duplicated += 1;
+            st.report.frames_duplicated += frames;
             st.report.delivered += 2;
+            st.report.frames_delivered += 2 * frames;
             deliver_intact(st, self.addr, idx, bytes.to_vec());
             st.queue.push_back((self.addr, bytes.to_vec()));
         } else if u < reord_to && cfg.reorder_depth > 0 {
@@ -283,11 +326,13 @@ impl ChaosEndpoint {
             st.pending.push(Pending {
                 source: self.addr,
                 idx,
+                frames,
                 release_after: now + slip,
                 bytes: bytes.to_vec(),
             });
         } else {
             st.report.delivered += 1;
+            st.report.frames_delivered += frames;
             deliver_intact(st, self.addr, idx, bytes.to_vec());
         }
         release_due(st, self.addr, now);
@@ -312,7 +357,6 @@ impl Drop for ChaosEndpoint {
         st.pending = rest;
         mine.sort_by_key(|p| p.idx);
         for p in mine {
-            st.report.delivered += 1;
             release_one(st, p);
         }
         st.open_endpoints -= 1;
@@ -339,17 +383,19 @@ fn release_due(st: &mut LinkState, source: SocketAddr, now: u64) {
     st.pending = keep;
     due.sort_by_key(|p| p.idx);
     for p in due {
-        st.report.delivered += 1;
         release_one(st, p);
     }
 }
 
 fn release_one(st: &mut LinkState, p: Pending) {
+    st.report.delivered += 1;
+    st.report.frames_delivered += p.frames;
     let acct = st.sources.entry(p.source).or_default();
     // Out of order iff something later from this source already went
     // through intact — the receiver's `seq < max_seen` rule.
     if acct.max_intact.is_some_and(|m| m > p.idx) {
         st.report.reordered += 1;
+        st.report.frames_reordered += p.frames;
     }
     acct.max_intact = Some(acct.max_intact.map_or(p.idx, |m| m.max(p.idx)));
     st.queue.push_back((p.source, p.bytes));
@@ -484,6 +530,38 @@ mod tests {
         for (_, bytes) in drain(&rx) {
             assert!(bytes.len() <= 4, "header must not survive: {bytes:?}");
         }
+    }
+
+    #[test]
+    fn frames_are_counted_per_packed_datagram() {
+        let link = ChaosLink::new(ChaosConfig {
+            seed: 2,
+            drop_rate: 0.5,
+            truncate_rate: 0.0,
+            duplicate_rate: 0.5,
+            reorder_rate: 0.0,
+            reorder_depth: 0,
+        });
+        let rx = link.receiver();
+        let ep = link.endpoint();
+        for i in 0..40u64 {
+            let frames: Vec<String> = (0..=i % 3)
+                .map(|k| format!("%frm {} hb", 3 * i + k))
+                .collect();
+            ep.send(frames.join("\n").as_bytes());
+        }
+        ep.send(b"legacy line\nanother");
+        drop(ep);
+        let got = drain(&rx);
+        let r = link.report();
+        assert_eq!(r.frames_sent, (0..40u64).map(|i| i % 3 + 1).sum::<u64>());
+        assert!(r.dropped > 0 && r.duplicated > 0);
+        assert_eq!(
+            r.frames_dropped + r.frames_delivered - r.frames_duplicated,
+            r.frames_sent
+        );
+        let delivered: u64 = got.iter().map(|(_, b)| frame_count(b)).sum();
+        assert_eq!(delivered, r.frames_delivered);
     }
 
     #[test]

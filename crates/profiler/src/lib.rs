@@ -15,8 +15,10 @@
 //!   Stethoscope, which enables it to profile only a subset of event
 //!   types" (§3);
 //! * [`TraceFile`] — buffered trace file writer/reader;
-//! * [`SampleBuffer`] — the bounded buffer online mode samples trace
-//!   content into (§4.2);
+//! * [`SampleBuffer`] — the bounded buffer of §4.2 that online mode
+//!   samples trace content into, as whole events (the online monitor
+//!   keeps the same window as pair-elision state, `stetho-core`'s
+//!   `ElisionWindow`);
 //! * [`udp`] — a real UDP emitter and the *textual Stethoscope* listener,
 //!   which "can connect to multiple MonetDB servers at the same time to
 //!   receive execution traces from all (distributed) sources" (§3.2).

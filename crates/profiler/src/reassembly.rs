@@ -36,27 +36,34 @@ use serde::Serialize;
 use crate::filter::FilterOptions;
 use crate::format::parse_event;
 use crate::udp::StreamItem;
-use crate::wire::{decode_datagram, DecodedDatagram, FrameBody};
+use crate::wire::{decode_datagram, DecodedDatagram, FrameBody, FRAME_PREFIX};
 
-/// Default reorder-buffer window (datagrams held per source before a
-/// gap is declared).
-pub const DEFAULT_REORDER_WINDOW: usize = 64;
+/// Default reorder-buffer window: frames held per source before a gap is
+/// declared. The emitter packs up to [`crate::udp::MAX_DATAGRAM`] bytes
+/// of frames into one datagram (about 20 trace events, or 20–50 dot
+/// lines), so a datagram that arrives a few datagrams late is still
+/// several dozen frames behind; 256 frames tolerates that, where one
+/// frame per datagram needed 64.
+pub const DEFAULT_REORDER_WINDOW: usize = 256;
 
 // ---------------------------------------------------------------------
 // Transport statistics
 // ---------------------------------------------------------------------
 
-/// Shared live counters updated by the receive path.
+/// Shared live counters updated by the receive path. Every counter but
+/// `datagrams` counts frames (or lines); a datagram may carry several
+/// frames.
 #[derive(Debug, Default)]
 pub struct TransportCounters {
-    /// Framed datagrams whose header decoded (includes duplicates and
-    /// heartbeats).
+    /// Datagrams decoded, framed or not.
+    pub datagrams: AtomicU64,
+    /// Frames whose header decoded (includes duplicates and heartbeats).
     pub received: AtomicU64,
     /// Frames that arrived after a higher sequence number.
     pub reordered: AtomicU64,
     /// Frames whose sequence number was already consumed or buffered.
     pub duplicated: AtomicU64,
-    /// Datagrams covered by emitted `Lost` gaps.
+    /// Frames covered by emitted `Lost` gaps.
     pub lost: AtomicU64,
     /// Stream items evicted by the bounded ring between the socket
     /// thread and the consumer.
@@ -70,6 +77,7 @@ impl TransportCounters {
     /// Read a consistent-enough snapshot of all counters.
     pub fn snapshot(&self) -> TransportStats {
         TransportStats {
+            datagrams: self.datagrams.load(Ordering::Relaxed),
             received: self.received.load(Ordering::Relaxed),
             reordered: self.reordered.load(Ordering::Relaxed),
             duplicated: self.duplicated.load(Ordering::Relaxed),
@@ -87,13 +95,15 @@ impl TransportCounters {
 /// Point-in-time transport health snapshot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
 pub struct TransportStats {
-    /// Framed datagrams whose header decoded.
+    /// Datagrams decoded, framed or not.
+    pub datagrams: u64,
+    /// Frames whose header decoded.
     pub received: u64,
     /// Frames that arrived after a higher sequence number.
     pub reordered: u64,
     /// Duplicate frames suppressed.
     pub duplicated: u64,
-    /// Datagrams reported lost via `Lost` gaps.
+    /// Frames reported lost via `Lost` gaps.
     pub lost: u64,
     /// Items dropped by receive-side backpressure.
     pub dropped_backpressure: u64,
@@ -103,7 +113,8 @@ pub struct TransportStats {
 
 impl fmt::Display for TransportStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "transport: received     {}", self.received)?;
+        writeln!(f, "transport: datagrams    {}", self.datagrams)?;
+        writeln!(f, "           received     {}", self.received)?;
         writeln!(f, "           reordered    {}", self.reordered)?;
         writeln!(f, "           duplicated   {}", self.duplicated)?;
         writeln!(f, "           lost         {}", self.lost)?;
@@ -148,7 +159,7 @@ pub struct Reassembler<T> {
     pub reordered: u64,
     /// Duplicate frames suppressed.
     pub duplicated: u64,
-    /// Datagrams covered by emitted gaps.
+    /// Frames covered by emitted gaps.
     pub lost: u64,
 }
 
@@ -309,8 +320,23 @@ impl StreamDecoder {
         self.decode(source, &text, out);
     }
 
-    /// Decode one datagram (text) from `source`.
+    /// Decode one datagram (text) from `source`. A datagram that starts
+    /// with [`FRAME_PREFIX`] carries one or more frames, one per line,
+    /// and each line is decoded and sequenced as its own frame; any other
+    /// datagram is legacy traffic, classified line by line.
     pub fn decode(&mut self, source: SocketAddr, text: &str, out: &mut Vec<StreamItem>) {
+        self.counters.add(&self.counters.datagrams, 1);
+        if text.starts_with(FRAME_PREFIX) {
+            for line in text.split('\n').filter(|l| !l.is_empty()) {
+                self.decode_frame(source, line, out);
+            }
+        } else {
+            self.decode_frame(source, text, out);
+        }
+    }
+
+    /// Decode one frame, or one legacy datagram.
+    fn decode_frame(&mut self, source: SocketAddr, text: &str, out: &mut Vec<StreamItem>) {
         match decode_datagram(text) {
             DecodedDatagram::Legacy if text.is_empty() => {
                 // A datagram with no bytes carries no line at all.
@@ -629,6 +655,92 @@ mod tests {
         assert_eq!(stats.reordered, 1);
         assert_eq!(stats.duplicated, 1);
         assert_eq!(stats.lost, 0);
+    }
+
+    const EV0: &str = "[ 0, \"start\", 0, 0, 0, 0, 0, \"a.b();\" ]";
+    const EV1: &str = "[ 1, \"done\", 0, 0, 5, 5, 0, \"a.b();\" ]";
+
+    fn kinds(out: &[StreamItem]) -> Vec<&'static str> {
+        out.iter()
+            .map(|i| match i {
+                StreamItem::DotBegin { .. } => "db",
+                StreamItem::DotLine { .. } => "dl",
+                StreamItem::DotEnd { .. } => "de",
+                StreamItem::Event { .. } => "ev",
+                StreamItem::EndOfTrace { .. } => "eot",
+                StreamItem::Garbled { .. } => "garbled",
+                StreamItem::Lost { .. } => "lost",
+            })
+            .collect()
+    }
+
+    #[test]
+    fn decoder_splits_a_packed_datagram_into_frames() {
+        let mut dec = StreamDecoder::new(8);
+        let mut out = Vec::new();
+        let packed = format!(
+            "%frm 0 dot-begin user.q\n%frm 1 dot digraph g {{\n%frm 2 dot\n%frm 3 dot-end\n\
+             %frm 4 ev {EV0}\n%frm 5 ev {EV1}\n%frm 6 hb"
+        );
+        dec.decode(src(), &packed, &mut out);
+        dec.decode(src(), "%frm 7 eot\n%frm 8 eot\n%frm 9 eot", &mut out);
+        assert_eq!(kinds(&out), vec!["db", "dl", "dl", "de", "ev", "ev", "eot"]);
+        assert!(matches!(&out[2], StreamItem::DotLine { line, .. } if line.is_empty()));
+        let stats = dec.counters().snapshot();
+        assert_eq!((stats.datagrams, stats.received), (2, 10));
+        assert_eq!((stats.lost, stats.garbled), (0, 0));
+    }
+
+    #[test]
+    fn decoder_garbled_middle_line_spoils_only_its_frame() {
+        let mut dec = StreamDecoder::new(8);
+        let mut out = Vec::new();
+        // Header unreadable: an unsequenced garbled line, and its
+        // sequence number becomes a gap.
+        let packed = format!("%frm 0 ev {EV0}\nnot a frame\n%frm 2 ev {EV1}");
+        dec.decode(src(), &packed, &mut out);
+        // Header readable, kind unknown: sequenced, so no gap.
+        dec.decode(src(), "%frm 3 hb\n%frm 4 wobble\n%frm 5 hb", &mut out);
+        dec.flush_all(&mut out);
+        assert_eq!(kinds(&out), vec!["ev", "garbled", "lost", "ev", "garbled"]);
+        assert!(matches!(&out[1], StreamItem::Garbled { line, .. } if line == "not a frame"));
+        assert!(matches!(
+            out[2],
+            StreamItem::Lost {
+                from_seq: 1,
+                to_seq: 1,
+                ..
+            }
+        ));
+        let stats = dec.counters().snapshot();
+        assert_eq!((stats.received, stats.lost, stats.garbled), (5, 1, 2));
+    }
+
+    #[test]
+    fn decoder_truncated_packed_datagram_keeps_its_whole_frames() {
+        let mut dec = StreamDecoder::new(8);
+        let mut out = Vec::new();
+        let packed = format!("%frm 0 ev {EV0}\n%frm 1 ev {EV1}");
+        let cut = &packed[..packed.len() - 10];
+        dec.decode(src(), cut, &mut out);
+        dec.decode(src(), "%frm 2 eot", &mut out);
+        // The cut frame's header survived: it is sequenced and garbled,
+        // not lost.
+        assert_eq!(kinds(&out), vec!["ev", "garbled", "eot"]);
+        let stats = dec.counters().snapshot();
+        assert_eq!((stats.received, stats.lost, stats.garbled), (3, 0, 1));
+    }
+
+    #[test]
+    fn decoder_legacy_multi_line_datagram_is_not_split_as_frames() {
+        let mut dec = StreamDecoder::new(8);
+        let mut out = Vec::new();
+        // Unframed first line: every line takes the legacy rules, a
+        // framed-looking later line included.
+        dec.decode(src(), &format!("{EV0}\n%frm 3 hb\n%eot"), &mut out);
+        assert_eq!(kinds(&out), vec!["ev", "garbled", "eot"]);
+        let stats = dec.counters().snapshot();
+        assert_eq!((stats.datagrams, stats.received, stats.garbled), (1, 0, 1));
     }
 
     #[test]

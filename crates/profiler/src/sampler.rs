@@ -8,7 +8,10 @@
 //! run-time coloring algorithms (implemented in `stetho-core`) look only
 //! at this window, never at the unbounded trace file. When the producer
 //! outruns the analyst the oldest events fall out, which is exactly the
-//! sampling behaviour the paper describes.
+//! sampling behaviour the paper describes. The online monitor keeps the
+//! same window without copying events, as pair-elision state
+//! (`stetho-core`'s `ElisionWindow`); this buffer of whole events is the
+//! form the batch algorithm and its oracle tests read.
 
 use std::collections::VecDeque;
 

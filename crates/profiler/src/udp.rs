@@ -14,8 +14,9 @@
 //! The resilient path layers three defenses over the paper's raw text
 //! stream:
 //!
-//! 1. **Framing** ([`crate::wire`]): every datagram carries a per-source
-//!    sequence number and kind (`%frm <seq> <kind> …`);
+//! 1. **Framing** ([`crate::wire`]): every frame carries a per-source
+//!    sequence number and kind (`%frm <seq> <kind> …`), and a datagram
+//!    carries one or more frames, one per line;
 //! 2. **Reassembly** ([`crate::reassembly`]): a bounded per-source
 //!    reorder buffer restores order, suppresses duplicates, and reports
 //!    unrecoverable gaps as [`StreamItem::Lost`] instead of hanging;
@@ -113,6 +114,11 @@ pub const HEARTBEAT_EVERY: u64 = 64;
 /// sequence number, bounding the receiver's trailing blind spot.
 pub const EOT_ECHOES: u32 = 2;
 
+/// Largest datagram the emitter packs frames into, in bytes: under the
+/// 1500-byte Ethernet MTU with room for IP and UDP headers. A frame
+/// longer than this goes out alone.
+pub const MAX_DATAGRAM: usize = 1400;
+
 /// Reconnect attempts before a send error is recorded as lost.
 const RECONNECT_ATTEMPTS: u32 = 3;
 /// First backoff step; doubles per attempt (1ms, 2ms, 4ms).
@@ -123,6 +129,9 @@ const RECONNECT_BASE_DELAY: Duration = Duration::from_millis(1);
 pub struct EmitterStats {
     /// Frames successfully handed to the transport.
     pub frames_sent: u64,
+    /// Datagrams successfully handed to the transport; each carries one
+    /// or more frames.
+    pub datagrams_sent: u64,
     /// Heartbeat frames among them.
     pub heartbeats: u64,
     /// Frames whose send failed even after reconnecting (their sequence
@@ -142,19 +151,43 @@ enum EmitterLink {
     Mem(ChaosEndpoint),
 }
 
+/// Frames waiting for the link, and who is sending them.
+#[derive(Default)]
+struct Outbox {
+    /// Next sequence number to allocate.
+    next_seq: u64,
+    /// Encoded frames not yet handed to the link, in sequence order.
+    frames: VecDeque<String>,
+    /// Every sequence number below this has been handed to the link.
+    sent_below: u64,
+    /// A thread is draining `frames`; others leave their frames to it.
+    sending: bool,
+    /// Threads blocked until their frames are sent.
+    waiters: usize,
+    /// The datagram buffer, kept to reuse its allocation.
+    datagram: Vec<u8>,
+}
+
 /// Server-side (Mserver) emitter: streams framed profiler output to one
 /// textual Stethoscope.
+///
+/// Consecutive frames share a datagram of at most [`MAX_DATAGRAM`]
+/// bytes, newline-separated, each with its own `%frm <seq>` header. No
+/// timer is involved: a caller queues its frames under the outbox lock,
+/// and the thread that finds no send in flight becomes the sender and
+/// drains the outbox, releasing the lock during each syscall. Frames
+/// queued meanwhile by other threads (which return at once) ride in the
+/// sender's next datagrams, so a frame waits at most for the send in
+/// flight, and one sender at a time keeps wire order equal to sequence
+/// order.
 pub struct ProfilerEmitter {
     link: EmitterLink,
-    /// Serializes sequence-number allocation with transmission: the
-    /// protocol promises `seq` is monotone in *wire* order, and with
-    /// concurrent scheduler workers an unsynchronized allocate-then-send
-    /// would let frames hit the link out of order — indistinguishable
-    /// from network reordering to the receiver.
-    tx: Mutex<()>,
-    seq: AtomicU64,
+    outbox: std::sync::Mutex<Outbox>,
+    /// Signalled when a sender finishes and someone waits for it.
+    drained: Condvar,
     data_frames: AtomicU64,
     frames_sent: AtomicU64,
+    datagrams_sent: AtomicU64,
     heartbeats: AtomicU64,
     send_errors: AtomicU64,
     reconnects: AtomicU64,
@@ -187,10 +220,11 @@ impl ProfilerEmitter {
     fn over_link(link: EmitterLink) -> Self {
         ProfilerEmitter {
             link,
-            tx: Mutex::new(()),
-            seq: AtomicU64::new(0),
+            outbox: std::sync::Mutex::new(Outbox::default()),
+            drained: Condvar::new(),
             data_frames: AtomicU64::new(0),
             frames_sent: AtomicU64::new(0),
+            datagrams_sent: AtomicU64::new(0),
             heartbeats: AtomicU64::new(0),
             send_errors: AtomicU64::new(0),
             reconnects: AtomicU64::new(0),
@@ -210,89 +244,128 @@ impl ProfilerEmitter {
     pub fn stats(&self) -> EmitterStats {
         EmitterStats {
             frames_sent: self.frames_sent.load(Ordering::Relaxed),
+            datagrams_sent: self.datagrams_sent.load(Ordering::Relaxed),
             heartbeats: self.heartbeats.load(Ordering::Relaxed),
             send_errors: self.send_errors.load(Ordering::Relaxed),
             reconnects: self.reconnects.load(Ordering::Relaxed),
         }
     }
 
-    /// Send one trace event.
+    /// Send one trace event, followed by a heartbeat every
+    /// [`HEARTBEAT_EVERY`] events.
     pub fn emit(&self, e: &TraceEvent) -> io::Result<()> {
-        self.send_body(FrameBody::Event {
+        let event = FrameBody::Event {
             line: format_event(e),
-        });
-        self.tick_heartbeat();
+        };
+        let n = self.data_frames.fetch_add(1, Ordering::Relaxed) + 1;
+        if n.is_multiple_of(HEARTBEAT_EVERY) {
+            self.heartbeats.fetch_add(1, Ordering::Relaxed);
+            self.send([event, FrameBody::Heartbeat], false);
+        } else {
+            self.send([event], false);
+        }
         Ok(())
     }
 
     /// Send a complete dot file, framed, before query execution begins.
     pub fn send_dot(&self, plan_name: &str, dot_text: &str) -> io::Result<()> {
-        self.send_body(FrameBody::DotBegin {
+        let begin = FrameBody::DotBegin {
             name: plan_name.to_string(),
+        };
+        let lines = dot_text.lines().map(|line| FrameBody::DotLine {
+            line: line.to_string(),
         });
-        for line in dot_text.lines() {
-            self.send_body(FrameBody::DotLine {
-                line: line.to_string(),
-            });
-        }
-        self.send_body(FrameBody::DotEnd);
+        let bodies = std::iter::once(begin)
+            .chain(lines)
+            .chain(std::iter::once(FrameBody::DotEnd));
+        self.send(bodies, false);
         Ok(())
     }
 
     /// Mark the end of the current query's trace. Echoed [`EOT_ECHOES`]
     /// times so a dropped `eot` (or trailing data frame) still leaves
     /// the receiver a later sequence number to detect the gap with.
+    /// Returns once every frame queued so far is on the link, so nothing
+    /// sent afterwards from another socket can overtake the stream.
     pub fn send_end_of_trace(&self) -> io::Result<()> {
-        for _ in 0..=EOT_ECHOES {
-            self.send_body(FrameBody::EndOfTrace);
-        }
+        self.send((0..=EOT_ECHOES).map(|_| FrameBody::EndOfTrace), true);
         Ok(())
     }
 
     /// Send a liveness heartbeat now.
     pub fn send_heartbeat(&self) {
         self.heartbeats.fetch_add(1, Ordering::Relaxed);
-        self.send_body(FrameBody::Heartbeat);
+        self.send([FrameBody::Heartbeat], false);
     }
 
-    fn tick_heartbeat(&self) {
-        let n = self.data_frames.fetch_add(1, Ordering::Relaxed) + 1;
-        if n.is_multiple_of(HEARTBEAT_EVERY) {
-            self.send_heartbeat();
+    fn lock_outbox(&self) -> std::sync::MutexGuard<'_, Outbox> {
+        self.outbox.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Allocate consecutive sequence numbers to `bodies` and queue them,
+    /// then drain the outbox onto the link unless another thread already
+    /// is. With `wait`, return only once these frames are on the link.
+    /// Errors are absorbed: the sequence numbers are consumed either way,
+    /// so a frame the network never saw surfaces as a `Lost` gap
+    /// downstream rather than silently renumbering the stream.
+    fn send(&self, bodies: impl IntoIterator<Item = FrameBody>, wait: bool) {
+        let mut out = self.lock_outbox();
+        for body in bodies {
+            let seq = out.next_seq;
+            out.next_seq += 1;
+            out.frames.push_back(encode_frame(&Frame { seq, body }));
+        }
+        if out.sending {
+            if wait {
+                let mine = out.next_seq;
+                out.waiters += 1;
+                out = self
+                    .drained
+                    .wait_while(out, |o| o.sent_below < mine)
+                    .unwrap_or_else(PoisonError::into_inner);
+                out.waiters -= 1;
+            }
+            return;
+        }
+        out.sending = true;
+        while !out.frames.is_empty() {
+            let mut datagram = std::mem::take(&mut out.datagram);
+            datagram.clear();
+            let frames = pack(&mut out.frames, &mut datagram);
+            let sent_below = out.sent_below + frames;
+            drop(out);
+            self.transmit(&datagram, frames);
+            out = self.lock_outbox();
+            out.datagram = datagram;
+            out.sent_below = sent_below;
+        }
+        out.sending = false;
+        if out.waiters > 0 {
+            self.drained.notify_all();
         }
     }
 
-    /// Allocate the next sequence number and send the frame. Errors are
-    /// absorbed: the sequence number is consumed either way, so a frame
-    /// the network never saw surfaces as a `Lost` gap downstream rather
-    /// than silently renumbering the stream.
-    fn send_body(&self, body: FrameBody) {
-        let _wire_order = self.tx.lock();
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        let wire = encode_frame(&Frame { seq, body });
-        match &self.link {
+    /// Hand one datagram of `frames` frames to the link.
+    fn transmit(&self, datagram: &[u8], frames: u64) {
+        let ok = match &self.link {
             EmitterLink::Mem(ep) => {
-                ep.send(wire.as_bytes());
-                self.frames_sent.fetch_add(1, Ordering::Relaxed);
+                ep.send(datagram);
+                true
             }
             EmitterLink::Udp {
                 socket,
                 peer,
                 local,
             } => {
-                let sock = socket.lock();
-                if sock.send(wire.as_bytes()).is_ok() {
-                    drop(sock);
-                    self.frames_sent.fetch_add(1, Ordering::Relaxed);
-                    return;
-                }
-                drop(sock);
-                if self.reconnect_and_resend(socket, *peer, *local, wire.as_bytes()) {
-                    self.frames_sent.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    self.send_errors.fetch_add(1, Ordering::Relaxed);
-                }
+                let sent = socket.lock().send(datagram).is_ok();
+                sent || self.reconnect_and_resend(socket, *peer, *local, datagram)
             }
+        };
+        if ok {
+            self.frames_sent.fetch_add(frames, Ordering::Relaxed);
+            self.datagrams_sent.fetch_add(1, Ordering::Relaxed);
+        } else {
+            self.send_errors.fetch_add(frames, Ordering::Relaxed);
         }
     }
 
@@ -326,10 +399,29 @@ impl ProfilerEmitter {
     }
 }
 
+/// Move frames from the front of `frames` into `datagram`, newline
+/// separated, while the datagram stays within [`MAX_DATAGRAM`] bytes (a
+/// longer frame goes alone). Returns how many frames were moved.
+fn pack(frames: &mut VecDeque<String>, datagram: &mut Vec<u8>) -> u64 {
+    let mut n = 0;
+    while let Some(frame) = frames.front() {
+        if n > 0 {
+            if datagram.len() + 1 + frame.len() > MAX_DATAGRAM {
+                break;
+            }
+            datagram.push(b'\n');
+        }
+        datagram.extend_from_slice(frame.as_bytes());
+        frames.pop_front();
+        n += 1;
+    }
+    n
+}
+
 impl std::fmt::Debug for ProfilerEmitter {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ProfilerEmitter")
-            .field("seq", &self.seq.load(Ordering::Relaxed))
+            .field("seq", &self.lock_outbox().next_seq)
             .finish_non_exhaustive()
     }
 }
@@ -1082,11 +1174,78 @@ mod tests {
         let report = link.report();
         assert!(report.dropped > 0, "seeded schedule must drop something");
         assert_eq!(
-            lost_frames + report.invisible_tail,
-            report.dropped,
-            "every dropped datagram is either a reported gap or tail-invisible"
+            lost_frames + report.frames_invisible_tail,
+            report.frames_dropped,
+            "every frame of a dropped datagram is either in a reported gap \
+             or tail-invisible"
         );
         steth.stop();
+    }
+
+    /// Every datagram a clean link delivered, in arrival order.
+    fn datagrams(link: &ChaosLink) -> Vec<String> {
+        let rx = link.receiver();
+        let mut got = Vec::new();
+        while let Ok((_, bytes)) = rx.recv_timeout(Duration::from_secs(1)) {
+            got.push(String::from_utf8(bytes).unwrap());
+        }
+        got
+    }
+
+    #[test]
+    fn concurrent_emitters_keep_wire_order_and_lose_nothing() {
+        const THREADS: u64 = 4;
+        const PER_THREAD: u64 = 500;
+        let link = ChaosLink::new(ChaosConfig::clean(3));
+        let emitter = ProfilerEmitter::over(&link);
+        std::thread::scope(|s| {
+            for t in 0..THREADS {
+                let emitter = &emitter;
+                s.spawn(move || {
+                    for i in 0..PER_THREAD {
+                        let id = t * PER_THREAD + i;
+                        emitter.emit(&ev(id, id as usize, "a.b();")).unwrap();
+                    }
+                });
+            }
+        });
+        emitter.send_end_of_trace().unwrap();
+        let stats = emitter.stats();
+        drop(emitter);
+        let got = datagrams(&link);
+        let mut seqs = Vec::new();
+        for d in &got {
+            assert!(d.len() <= MAX_DATAGRAM, "{} bytes", d.len());
+            for line in d.split('\n') {
+                match crate::wire::decode_datagram(line) {
+                    crate::wire::DecodedDatagram::Frame(f) => seqs.push(f.seq),
+                    other => panic!("not a frame: {other:?}"),
+                }
+            }
+        }
+        let events = THREADS * PER_THREAD;
+        let frames = events + events / HEARTBEAT_EVERY + u64::from(EOT_ECHOES) + 1;
+        assert_eq!(seqs, (0..frames).collect::<Vec<_>>(), "once each, in order");
+        assert_eq!(stats.frames_sent, frames);
+        assert_eq!(stats.datagrams_sent, got.len() as u64);
+        assert_eq!(stats.send_errors, 0);
+    }
+
+    #[test]
+    fn dot_burst_and_eot_echoes_share_datagrams() {
+        let link = ChaosLink::new(ChaosConfig::clean(4));
+        let emitter = ProfilerEmitter::over(&link);
+        let dot: String = (0..200).map(|i| format!("n{i} -> n{};\n", i + 1)).collect();
+        emitter.send_dot("user.q", &dot).unwrap();
+        emitter.send_end_of_trace().unwrap();
+        let stats = emitter.stats();
+        drop(emitter);
+        let got = datagrams(&link);
+        assert_eq!(stats.frames_sent, 1 + 200 + 1 + 3);
+        assert_eq!(stats.datagrams_sent, got.len() as u64);
+        assert!(got.len() < 10, "{} datagrams", got.len());
+        assert!(got.iter().all(|d| d.len() <= MAX_DATAGRAM));
+        assert_eq!(got.last().unwrap().matches(" eot").count(), 3);
     }
 
     #[test]

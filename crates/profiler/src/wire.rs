@@ -9,7 +9,7 @@
 //! ```
 //!
 //! `seq` is a per-source monotonically increasing sequence number (one
-//! per datagram, including heartbeats), `kind` names the payload:
+//! per frame, including heartbeats), `kind` names the payload:
 //!
 //! | kind        | payload                 | meaning                      |
 //! |-------------|-------------------------|------------------------------|
@@ -20,14 +20,20 @@
 //! | `eot`       | —                       | end of trace for the query   |
 //! | `hb`        | —                       | heartbeat / liveness         |
 //!
+//! A frame is one line. The emitter packs consecutive frames into one
+//! datagram, newline-separated (see [`crate::udp::ProfilerEmitter`]), and
+//! the receiver decodes each line of a datagram that starts with `%frm `
+//! as its own frame. A datagram holding a single frame is the original
+//! one-frame-per-datagram format.
+//!
 //! Datagrams that do not start with `%frm ` are *legacy* traffic and are
 //! classified line-by-line with the original unframed rules, so old
 //! emitters and recorded trace files keep working.
 
-/// Prefix marking a framed datagram.
+/// Prefix marking a frame, and a datagram of frames.
 pub const FRAME_PREFIX: &str = "%frm ";
 
-/// Payload of one framed datagram.
+/// Payload of one frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FrameBody {
     /// Start of a dot file; carries the plan name.
@@ -55,16 +61,16 @@ pub enum FrameBody {
     Heartbeat,
 }
 
-/// One framed datagram: a sequence number plus its payload.
+/// One frame: a sequence number plus its payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Frame {
-    /// Per-source monotone datagram sequence number.
+    /// Per-source monotone frame sequence number.
     pub seq: u64,
     /// The payload.
     pub body: FrameBody,
 }
 
-/// Result of decoding one datagram.
+/// Result of decoding one frame (or an unframed datagram).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DecodedDatagram {
     /// A well-formed frame.
@@ -82,7 +88,8 @@ pub enum DecodedDatagram {
     Legacy,
 }
 
-/// Render a frame as one datagram (no trailing newline).
+/// Render a frame as one line (no trailing newline); on its own it is a
+/// complete datagram.
 pub fn encode_frame(f: &Frame) -> String {
     match &f.body {
         FrameBody::DotBegin { name } => format!("{FRAME_PREFIX}{} dot-begin {name}", f.seq),
@@ -95,7 +102,8 @@ pub fn encode_frame(f: &Frame) -> String {
     }
 }
 
-/// Decode one datagram. Never panics on arbitrary input.
+/// Decode one frame line, or tell that a datagram is not framed. Never
+/// panics on arbitrary input.
 pub fn decode_datagram(text: &str) -> DecodedDatagram {
     let Some(rest) = text.strip_prefix(FRAME_PREFIX) else {
         return DecodedDatagram::Legacy;

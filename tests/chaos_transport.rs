@@ -4,10 +4,16 @@
 //! terminate, converge visually (no node left RED — each is GREEN or
 //! written off to a *reported* `Lost` gap), and reconcile the
 //! receiver's [`TransportStats`] exactly against the link's ground
-//! truth — no fault may go unaccounted.
+//! truth — no fault may go unaccounted. A datagram carries several
+//! frames and the receiver sequences frames, so the reconciliation is
+//! at frame granularity, using the link's per-frame counts.
 //!
 //! Seeds are fixed so failures are replayable: rerun with
-//! `cargo test --test chaos_transport` and the same schedule unfolds.
+//! `cargo test --test chaos_transport` and the same per-datagram fault
+//! schedule unfolds. Which frames share a datagram depends on how the
+//! engine's worker threads interleave their sends, so the frames a fault
+//! strikes can differ between runs; the reconciliation holds for any
+//! packing.
 //! On failure, the rendered transport/report pair for each seed is in
 //! `target/chaos/` (uploaded by the CI chaos job).
 
@@ -126,18 +132,22 @@ fn run_seed(seed: u64) {
     let t = out.transport;
     let r = out.chaos_report.expect("chaos mode reports ground truth");
     assert_eq!(
-        t.lost + r.invisible_tail,
-        r.dropped + r.truncated,
-        "seed {seed}: every destroyed datagram is a reported gap or an \
-         invisible tail\n{t}\n{r:?}"
+        t.lost + r.frames_invisible_tail,
+        r.frames_dropped + r.frames_truncated,
+        "seed {seed}: every frame of a destroyed datagram is in a reported \
+         gap or an invisible tail\n{t}\n{r:?}"
     );
     assert_eq!(t.garbled, r.truncated, "seed {seed}: {t}\n{r:?}");
-    assert_eq!(t.duplicated, r.duplicated, "seed {seed}: {t}\n{r:?}");
-    assert_eq!(t.reordered, r.reordered, "seed {seed}: {t}\n{r:?}");
+    assert_eq!(t.duplicated, r.frames_duplicated, "seed {seed}: {t}\n{r:?}");
+    assert_eq!(t.reordered, r.frames_reordered, "seed {seed}: {t}\n{r:?}");
     assert_eq!(
         t.received,
-        r.delivered - r.truncated,
-        "seed {seed}: every intact delivery was received\n{t}\n{r:?}"
+        r.frames_delivered - r.frames_truncated,
+        "seed {seed}: every frame of an intact delivery was received\n{t}\n{r:?}"
+    );
+    assert_eq!(
+        t.datagrams, r.delivered,
+        "seed {seed}: every delivered datagram was decoded\n{t}\n{r:?}"
     );
     assert_eq!(t.dropped_backpressure, 0, "seed {seed}: ring never filled");
     // The hostile schedule actually bit on this stream.
@@ -197,6 +207,7 @@ fn clean_link_is_transparent() {
     let t = out.transport;
     assert_eq!(t.lost + t.duplicated + t.reordered + t.garbled, 0, "{t}");
     let r = out.chaos_report.unwrap();
-    assert_eq!(t.received, r.delivered);
+    assert_eq!(t.received, r.frames_delivered);
+    assert_eq!(t.datagrams, r.delivered);
     assert_eq!(r.dropped + r.truncated + r.duplicated + r.reordered, 0);
 }
