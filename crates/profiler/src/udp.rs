@@ -467,20 +467,27 @@ impl Ring {
         })
     }
 
-    /// Push one item, evicting the oldest when full (never blocks the
-    /// socket thread). Returns the number of evictions.
-    fn push(&self, item: StreamItem) -> u64 {
+    /// Push the items of one datagram in order, evicting the oldest
+    /// when full (never blocks the socket thread), and wake the consumer
+    /// once for all of them. Returns the number of evictions.
+    fn push_all(&self, items: impl IntoIterator<Item = StreamItem>) -> u64 {
         let mut st = self.state.lock().expect("stream ring poisoned");
         let mut evicted = 0;
-        while st.buf.len() >= self.capacity {
-            st.buf.pop_front();
-            evicted += 1;
+        let mut pushed = false;
+        for item in items {
+            while st.buf.len() >= self.capacity {
+                st.buf.pop_front();
+                evicted += 1;
+            }
+            st.buf.push_back(item);
+            pushed = true;
         }
-        st.buf.push_back(item);
         drop(st);
-        // All: a `StopHandle` may be waiting on this condvar for the
-        // close, and must not take a consumer's wakeup.
-        self.cv.notify_all();
+        if pushed {
+            // All: a `StopHandle` may be waiting on this condvar for the
+            // close, and must not take a consumer's wakeup.
+            self.cv.notify_all();
+        }
         evicted
     }
 
@@ -743,14 +750,13 @@ impl Drop for TextualStethoscope {
     }
 }
 
-fn forward(ring: &Ring, counters: &TransportCounters, items: Vec<StreamItem>) {
-    for item in items {
-        let evicted = ring.push(item);
-        if evicted > 0 {
-            counters
-                .dropped_backpressure
-                .fetch_add(evicted, Ordering::Relaxed);
-        }
+/// Hand `items` to the ring, leaving the vector empty for reuse.
+fn forward(ring: &Ring, counters: &TransportCounters, items: &mut Vec<StreamItem>) {
+    let evicted = ring.push_all(items.drain(..));
+    if evicted > 0 {
+        counters
+            .dropped_backpressure
+            .fetch_add(evicted, Ordering::Relaxed);
     }
 }
 
@@ -769,13 +775,11 @@ fn listen_udp(socket: UdpSocket, waker: SocketAddr, mut decoder: StreamDecoder, 
         if source == waker {
             break;
         }
-        items.clear();
         decoder.decode_bytes(source, &buf[..len], &mut items);
-        forward(&ring, &counters, std::mem::take(&mut items));
+        forward(&ring, &counters, &mut items);
     }
-    let mut items = Vec::new();
     decoder.flush_all(&mut items);
-    forward(&ring, &counters, items);
+    forward(&ring, &counters, &mut items);
     ring.close();
 }
 
@@ -790,17 +794,15 @@ fn listen_mem(
     while running.load(Ordering::SeqCst) {
         match rx.recv_timeout(Duration::from_millis(20)) {
             Ok((source, bytes)) => {
-                items.clear();
                 decoder.decode_bytes(source, &bytes, &mut items);
-                forward(&ring, &counters, std::mem::take(&mut items));
+                forward(&ring, &counters, &mut items);
             }
             Err(ChaosRecvError::Timeout) => continue,
             Err(ChaosRecvError::Closed) => break,
         }
     }
-    let mut items = Vec::new();
     decoder.flush_all(&mut items);
-    forward(&ring, &counters, items);
+    forward(&ring, &counters, &mut items);
     ring.close();
 }
 
@@ -1257,7 +1259,7 @@ mod tests {
         let ring = Ring::new(4);
         let mut evicted = 0;
         for i in 0..10 {
-            evicted += ring.push(garbled(i));
+            evicted += ring.push_all([garbled(i)]);
         }
         assert_eq!(evicted, 6, "drop-oldest evictions are counted");
         ring.close();
