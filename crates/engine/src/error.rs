@@ -61,14 +61,6 @@ pub enum EngineError {
         /// Target type.
         to: MalType,
     },
-    /// Plan rejected on admission by the static verifier
-    /// (`ExecOptions::verify_on_admit`).
-    VerifyRejected {
-        /// Number of verifier errors.
-        errors: usize,
-        /// Rendered `stetho_mal::VerifyReport`.
-        report: String,
-    },
     /// Anything else.
     Other(String),
 }
@@ -94,12 +86,6 @@ impl fmt::Display for EngineError {
             EngineError::DivisionByZero => write!(f, "division by zero"),
             EngineError::Uninitialised(v) => write!(f, "variable {v} read before computed"),
             EngineError::BadCast { from, to } => write!(f, "cannot cast {from} to {to}"),
-            EngineError::VerifyRejected { errors, report } => {
-                write!(
-                    f,
-                    "plan rejected on admission ({errors} verifier error(s)):\n{report}"
-                )
-            }
             EngineError::Other(msg) => write!(f, "{msg}"),
         }
     }

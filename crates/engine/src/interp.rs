@@ -38,9 +38,6 @@ pub struct ExecOptions {
     pub workers: usize,
     /// Profiler configuration.
     pub profiler: ProfilerConfig,
-    /// Run the static verifier on admission and reject plans with
-    /// verifier errors before executing a single instruction.
-    pub verify_on_admit: bool,
     /// Self-observability registry. When set, the dataflow scheduler
     /// publishes per-worker executed/stolen/park counters and a queue
     /// depth gauge into it (`stetho_scheduler_*`).
@@ -53,7 +50,6 @@ impl Default for ExecOptions {
             parallel: false,
             workers: 0,
             profiler: ProfilerConfig::off(),
-            verify_on_admit: false,
             metrics: None,
         }
     }
@@ -76,12 +72,6 @@ impl ExecOptions {
             profiler,
             ..Default::default()
         }
-    }
-
-    /// Enable admission-time static verification.
-    pub fn with_verify_on_admit(mut self) -> Self {
-        self.verify_on_admit = true;
-        self
     }
 
     /// Publish scheduler metrics into `registry` during execution.
@@ -245,15 +235,6 @@ impl Interpreter {
     pub fn execute(&self, plan: &Plan, opts: &ExecOptions) -> Result<ExecOutcome> {
         plan.validate()
             .map_err(|e| EngineError::Other(e.to_string()))?;
-        if opts.verify_on_admit {
-            let report = plan.verify();
-            if !report.is_clean() {
-                return Err(EngineError::VerifyRejected {
-                    errors: report.errors().count(),
-                    report: report.render(plan),
-                });
-            }
-        }
         let run = QueryRun::new(Arc::clone(&self.catalog), opts.profiler.clone());
         let started = Instant::now();
         if opts.parallel {

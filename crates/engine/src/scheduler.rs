@@ -8,19 +8,26 @@
 //! worker's thread index, which is what Stethoscope's §5 multi-core
 //! utilisation analysis plots.
 //!
-//! ## Work stealing
+//! ## One ready queue
 //!
-//! Each worker owns a LIFO deque of ready instructions. An instruction's
-//! successors become ready on the worker that finished the producer, so
-//! a mitosis partition pipeline (`slice → select → projection → ...`)
-//! stays on one core with its operands cache-warm; idle workers steal
-//! from the *front* of a victim's deque, migrating the oldest ready
-//! instruction — typically the head of a different partition's pipeline.
-//! A shared [`Injector`] seeds the plan's source instructions and takes
-//! overflow. Wake-ups are batched: finishing an instruction that readies
-//! `k` successors issues one notification (broadcast when `k > 1`), not
-//! `k`, and idle workers park on a condvar with a short timeout backstop
-//! so a lost race between "checked queues" and "parked" self-heals.
+//! Like MonetDB's dataflow `todo` queue, every worker draws from one
+//! shared [`Queue`] behind one mutex: the ready list, the pending-producer
+//! counts, the number of instructions left and the first error. A worker
+//! reports the instruction it finished and takes its next one in the same
+//! critical section.
+//!
+//! Locality: a worker takes the newest instruction it readied itself, or
+//! else the oldest ready one. A mitosis partition pipeline
+//! (`slice → select → projection → ...`) so stays on one core with its
+//! operands cache-warm, while an idle worker picks up the head of a
+//! different partition's pipeline. A worker that readies `k`
+//! instructions keeps one and wakes at most `k − 1` sleepers; the end of
+//! the run, or its failure, wakes them all.
+//!
+//! Idle workers wait on a condvar without a timeout. No wake-up can be
+//! lost: a worker decides to wait while holding the queue mutex, and
+//! whoever readies work does so under that same mutex and notifies
+//! after releasing it.
 //!
 //! ## Variable lifetimes
 //!
@@ -30,11 +37,10 @@
 //! `env` slot and releases it. A result that nothing reads is released
 //! as soon as it is produced.
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex as StdMutex};
-use std::time::Duration;
 
-use crossbeam::deque::{Injector, Steal, Stealer, Worker};
 use parking_lot::Mutex;
 use stetho_mal::{DataflowGraph, Plan};
 use stetho_obsv::{Counter, Gauge, Registry};
@@ -44,60 +50,6 @@ use crate::interp::QueryRun;
 use crate::rt::RuntimeValue;
 use crate::Result;
 
-/// How long an idle worker sleeps before re-polling the queues even
-/// without a wake-up — the backstop for the benign park/notify race.
-const PARK_BACKSTOP: Duration = Duration::from_millis(1);
-
-/// Parking lot for idle workers.
-struct Parking {
-    lock: StdMutex<()>,
-    ready: Condvar,
-    sleepers: AtomicUsize,
-}
-
-impl Parking {
-    fn new() -> Self {
-        Parking {
-            lock: StdMutex::new(()),
-            ready: Condvar::new(),
-            sleepers: AtomicUsize::new(0),
-        }
-    }
-
-    /// One batched notification for `newly_ready` tasks: a single
-    /// `notify_one` for one task, one broadcast for a fan-out. Skipped
-    /// entirely when nobody is parked (the common case mid-pipeline).
-    fn wake(&self, newly_ready: usize) {
-        if newly_ready == 0 || self.sleepers.load(Ordering::SeqCst) == 0 {
-            return;
-        }
-        if newly_ready == 1 {
-            self.ready.notify_one();
-        } else {
-            self.ready.notify_all();
-        }
-    }
-
-    fn wake_all(&self) {
-        self.ready.notify_all();
-    }
-
-    /// Park until notified or the backstop elapses. `recheck` runs after
-    /// registering as a sleeper but before sleeping, closing the window
-    /// where work arrived between the caller's last poll and the park.
-    fn park(&self, recheck: impl Fn() -> bool) {
-        self.sleepers.fetch_add(1, Ordering::SeqCst);
-        if !recheck() {
-            let guard = match self.lock.lock() {
-                Ok(g) => g,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            let _ = self.ready.wait_timeout(guard, PARK_BACKSTOP);
-        }
-        self.sleepers.fetch_sub(1, Ordering::SeqCst);
-    }
-}
-
 /// Per-worker scheduler instruments, registered once per run against the
 /// session registry. Handles are cloned `Arc`s over atomics, so updates
 /// on the worker hot path are plain atomic ops — no locks, no clock
@@ -105,13 +57,13 @@ impl Parking {
 struct SchedMetrics {
     /// `stetho_scheduler_executed_total{worker="i"}`.
     executed: Vec<Counter>,
-    /// `stetho_scheduler_stolen_total{worker="i"}` — tasks this worker
-    /// stole from a sibling's deque.
+    /// `stetho_scheduler_stolen_total{worker="i"}` — instructions this
+    /// worker ran that a sibling had readied.
     stolen: Vec<Counter>,
     /// `stetho_scheduler_parks_total{worker="i"}`.
     parks: Vec<Counter>,
-    /// `stetho_scheduler_queue_depth` — ready tasks visible across the
-    /// injector and every worker deque, refreshed after each fan-out.
+    /// `stetho_scheduler_queue_depth` — ready instructions in the queue,
+    /// refreshed whenever a worker takes one.
     queue_depth: Gauge,
 }
 
@@ -129,7 +81,7 @@ impl SchedMetrics {
             ),
             stolen: per_worker(
                 "stetho_scheduler_stolen_total",
-                "Tasks stolen from sibling deques per worker",
+                "Instructions run by a worker other than the one that readied them",
             ),
             parks: per_worker(
                 "stetho_scheduler_parks_total",
@@ -137,8 +89,40 @@ impl SchedMetrics {
             ),
             queue_depth: registry.gauge(
                 "stetho_scheduler_queue_depth",
-                "Ready instructions queued across the injector and worker deques",
+                "Ready instructions waiting in the scheduler queue",
             ),
+        }
+    }
+}
+
+/// Marks an instruction that no worker readied: a source of the plan.
+const SEEDED: usize = usize::MAX;
+
+/// Nothing panics while holding the queue lock, so a poisoned queue is a
+/// scheduler bug; its counts cannot be trusted to end the run.
+const POISONED: &str = "dataflow queue poisoned: a worker panicked while holding it";
+
+/// Scheduler state that changes as instructions finish, all behind one
+/// mutex.
+struct Queue {
+    /// Ready instructions as `(pc, worker that readied it)`, oldest first.
+    ready: VecDeque<(usize, usize)>,
+    /// Pending-producer counts per instruction.
+    pending: Vec<usize>,
+    /// Instructions not yet executed.
+    remaining: usize,
+    first_error: Option<EngineError>,
+    /// Workers waiting on [`Shared::wake`].
+    sleepers: usize,
+}
+
+impl Queue {
+    /// The newest instruction `worker` readied itself, else the oldest
+    /// ready one.
+    fn take(&mut self, worker: usize) -> Option<(usize, usize)> {
+        match self.ready.iter().rposition(|&(_, by)| by == worker) {
+            Some(i) => self.ready.remove(i),
+            None => self.ready.pop_front(),
         }
     }
 }
@@ -148,92 +132,69 @@ struct Shared<'a> {
     plan: &'a Plan,
     graph: DataflowGraph,
     stmts: Vec<String>,
-    /// Pending-producer counts per instruction.
-    pending: Vec<AtomicUsize>,
-    /// Instructions not yet executed (or abandoned after an error).
-    remaining: AtomicUsize,
-    /// Set when the plan has fully drained or an error was recorded.
-    done: AtomicBool,
-    /// Cheap error witness so workers skip stale tasks without locking.
-    errored: AtomicBool,
-    first_error: Mutex<Option<EngineError>>,
+    queue: StdMutex<Queue>,
+    wake: Condvar,
     env: Vec<Mutex<Option<RuntimeValue>>>,
     /// Argument slots per variable whose instruction has not finished.
     readers: Vec<AtomicUsize>,
-    injector: Injector<usize>,
-    stealers: Vec<Stealer<usize>>,
-    parking: Parking,
     metrics: Option<SchedMetrics>,
 }
 
 impl Shared<'_> {
-    /// Next instruction for `worker_id`: own deque first (LIFO —
-    /// cache-warm successor), then the injector (batch refill), then
-    /// steal from a sibling (counted as a steal for the metrics).
-    fn find_task(&self, local: &Worker<usize>, worker_id: usize) -> Option<usize> {
-        if let Some(pc) = local.pop() {
-            return Some(pc);
-        }
-        loop {
-            let mut retry = false;
-            match self.injector.steal_batch_and_pop(local) {
-                Steal::Success(pc) => return Some(pc),
-                Steal::Retry => retry = true,
-                Steal::Empty => {}
-            }
-            for (victim, stealer) in self.stealers.iter().enumerate() {
-                match stealer.steal() {
-                    Steal::Success(pc) => {
-                        if victim != worker_id {
-                            if let Some(m) = &self.metrics {
-                                m.stolen[worker_id].inc();
-                            }
+    /// Record how `worker`'s last instruction (if any) ended, then hand
+    /// it its next one; `None` once the run is over.
+    fn next(&self, worker: usize, finished: Option<(usize, Result<()>)>) -> Option<usize> {
+        let mut q = self.queue.lock().expect(POISONED);
+        let mut readied = 0usize;
+        if let Some((pc, outcome)) = finished {
+            q.remaining -= 1;
+            match outcome {
+                Ok(()) => {
+                    for &(succ, _) in self.graph.succs(pc) {
+                        q.pending[succ] -= 1;
+                        if q.pending[succ] == 0 {
+                            q.ready.push_back((succ, worker));
+                            readied += 1;
                         }
-                        return Some(pc);
                     }
-                    Steal::Retry => retry = true,
-                    Steal::Empty => {}
+                }
+                Err(e) => {
+                    // The failed instruction's dependents never become
+                    // ready; the first error ends the run.
+                    q.first_error.get_or_insert(e);
                 }
             }
-            if !retry {
+        }
+        loop {
+            // Everything executed, or an instruction failed.
+            if q.remaining == 0 || q.first_error.is_some() {
+                drop(q);
+                self.wake.notify_all();
                 return None;
             }
-        }
-    }
-
-    /// Refresh the queue-depth gauge: ready tasks visible in the
-    /// injector plus every worker deque. No-op without a registry.
-    fn refresh_queue_depth(&self) {
-        if let Some(m) = &self.metrics {
-            let depth = self.injector.len() + self.stealers.iter().map(Stealer::len).sum::<usize>();
-            m.queue_depth.set(depth as f64);
-        }
-    }
-
-    /// Any task visible anywhere? (Used to avoid parking on a race.)
-    fn work_in_sight(&self) -> bool {
-        !self.injector.is_empty() || self.stealers.iter().any(|s| !s.is_empty())
-    }
-
-    /// Record an error (first one wins) and release every worker.
-    fn record_error(&self, e: EngineError) {
-        let mut slot = self.first_error.lock();
-        if slot.is_none() {
-            *slot = Some(e);
-        }
-        drop(slot);
-        self.errored.store(true, Ordering::SeqCst);
-        // The failed instruction's dependents never become ready, so
-        // `remaining` cannot drain to zero — declare the run over.
-        self.done.store(true, Ordering::SeqCst);
-        self.parking.wake_all();
-    }
-
-    /// Mark one instruction finished; the last one ends the run.
-    fn finish_one(&self) {
-        if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-            self.done.store(true, Ordering::SeqCst);
-            self.parking.wake_all();
+            if let Some((pc, by)) = q.take(worker) {
+                // This worker runs one of what it readied; wake sleepers
+                // for the rest.
+                let wake = readied.saturating_sub(1).min(q.sleepers);
+                let depth = q.ready.len();
+                drop(q);
+                for _ in 0..wake {
+                    self.wake.notify_one();
+                }
+                if let Some(m) = &self.metrics {
+                    if by != worker && by != SEEDED {
+                        m.stolen[worker].inc();
+                    }
+                    m.queue_depth.set(depth as f64);
+                }
+                return Some(pc);
+            }
+            if let Some(m) = &self.metrics {
+                m.parks[worker].inc();
+            }
+            q.sleepers += 1;
+            q = self.wake.wait(q).expect(POISONED);
+            q.sleepers -= 1;
         }
     }
 }
@@ -259,36 +220,30 @@ pub(crate) fn run_dataflow(
         readers[v.0] += 1;
     }
 
-    let locals: Vec<Worker<usize>> = (0..workers).map(|_| Worker::new_lifo()).collect();
+    // Validated single-assignment plans are acyclic, so at least one
+    // instruction is a source.
+    let queue = Queue {
+        ready: graph.sources().into_iter().map(|pc| (pc, SEEDED)).collect(),
+        pending: (0..n).map(|pc| graph.preds(pc).len()).collect(),
+        remaining: n,
+        first_error: None,
+        sleepers: 0,
+    };
     let shared = Shared {
         plan,
         stmts: plan.stmt_texts(),
-        pending: (0..n)
-            .map(|pc| AtomicUsize::new(graph.preds(pc).len()))
-            .collect(),
-        remaining: AtomicUsize::new(n),
-        done: AtomicBool::new(false),
-        errored: AtomicBool::new(false),
-        first_error: Mutex::new(None),
+        queue: StdMutex::new(queue),
+        wake: Condvar::new(),
         env: (0..plan.var_count()).map(|_| Mutex::new(None)).collect(),
         readers: readers.into_iter().map(AtomicUsize::new).collect(),
-        injector: Injector::new(),
-        stealers: locals.iter().map(Worker::stealer).collect(),
-        parking: Parking::new(),
         metrics: metrics.map(|r| SchedMetrics::new(r, workers)),
         graph,
     };
-    for pc in shared.graph.sources() {
-        shared.injector.push(pc);
-    }
-    shared.refresh_queue_depth();
-    // A plan where every node has predecessors cannot happen (validated
-    // single-assignment plans are acyclic with at least one source).
 
     std::thread::scope(|scope| {
-        for (worker_id, local) in locals.into_iter().enumerate() {
+        for worker in 0..workers {
             let shared = &shared;
-            scope.spawn(move || worker_loop(shared, run, worker_id, local));
+            scope.spawn(move || worker_loop(shared, run, worker));
         }
     });
 
@@ -296,31 +251,15 @@ pub(crate) fn run_dataflow(
     if let Some(m) = &shared.metrics {
         m.queue_depth.set(0.0);
     }
-    match shared.first_error.into_inner() {
+    match shared.queue.into_inner().expect(POISONED).first_error {
         Some(e) => Err(e),
         None => Ok(()),
     }
 }
 
-fn worker_loop(shared: &Shared<'_>, run: &QueryRun, worker_id: usize, local: Worker<usize>) {
-    loop {
-        let Some(pc) = shared.find_task(&local, worker_id) else {
-            if shared.done.load(Ordering::SeqCst) {
-                return;
-            }
-            if let Some(m) = &shared.metrics {
-                m.parks[worker_id].inc();
-            }
-            shared
-                .parking
-                .park(|| shared.done.load(Ordering::SeqCst) || shared.work_in_sight());
-            continue;
-        };
-        if shared.errored.load(Ordering::SeqCst) {
-            // Abandon remaining work after a failure.
-            shared.finish_one();
-            continue;
-        }
+fn worker_loop(shared: &Shared<'_>, run: &QueryRun, worker: usize) {
+    let mut finished = None;
+    while let Some(pc) = shared.next(worker, finished.take()) {
         let ins = &shared.plan.instructions[pc];
         let outcome = run.run_instruction(
             ins,
@@ -330,42 +269,28 @@ fn worker_loop(shared: &Shared<'_>, run: &QueryRun, worker_id: usize, local: Wor
                 })
             },
             &shared.stmts[pc],
-            worker_id,
+            worker,
         );
-        match outcome {
-            Ok(values) => {
-                // No reader of a result can have started yet, so a zero
-                // count means nothing reads it.
-                for (r, v) in ins.results.iter().zip(values) {
-                    if shared.readers[r.0].load(Ordering::Acquire) == 0 {
-                        run.release(Some(v));
-                    } else {
-                        *shared.env[r.0].lock() = Some(v);
-                    }
+        let outcome = outcome.map(|values| {
+            // No reader of a result can have started yet, so a zero
+            // count means nothing reads it.
+            for (r, v) in ins.results.iter().zip(values) {
+                if shared.readers[r.0].load(Ordering::Acquire) == 0 {
+                    run.release(Some(v));
+                } else {
+                    *shared.env[r.0].lock() = Some(v);
                 }
-                for v in ins.arg_vars() {
-                    if shared.readers[v.0].fetch_sub(1, Ordering::AcqRel) == 1 {
-                        run.release(shared.env[v.0].lock().take());
-                    }
-                }
-                let mut newly_ready = 0usize;
-                for &(succ, _) in shared.graph.succs(pc) {
-                    if shared.pending[succ].fetch_sub(1, Ordering::AcqRel) == 1 {
-                        local.push(succ);
-                        newly_ready += 1;
-                    }
-                }
-                if let Some(m) = &shared.metrics {
-                    m.executed[worker_id].inc();
-                }
-                shared.refresh_queue_depth();
-                // One batched wake-up for the whole fan-out; thieves
-                // take from the front of this worker's deque.
-                shared.parking.wake(newly_ready);
             }
-            Err(e) => shared.record_error(e),
-        }
-        shared.finish_one();
+            for v in ins.arg_vars() {
+                if shared.readers[v.0].fetch_sub(1, Ordering::AcqRel) == 1 {
+                    run.release(shared.env[v.0].lock().take());
+                }
+            }
+            if let Some(m) = &shared.metrics {
+                m.executed[worker].inc();
+            }
+        });
+        finished = Some((pc, outcome));
     }
 }
 
@@ -448,10 +373,6 @@ mod tests {
         // Give each branch measurable work so workers overlap.
         let mut text = String::new();
         text.push_str("X_0:int := sql.mvc();\n");
-        for i in 0..4 {
-            // alarm.sleep has no deps besides X_0-independent literal.
-            let _ = i;
-        }
         // Four independent sleeps: the scheduler must run them on
         // different workers, which the thread field records.
         text.push_str("alarm.sleep(30:int);\n");
@@ -548,8 +469,7 @@ mod tests {
     fn stress_wide_fanout_many_worker_counts() {
         // 64 independent select→projection branches over a 50k-row
         // column: a worst case for ready-queue contention. Every worker
-        // count must terminate, agree with the sequential interpreter,
-        // and actually spread work across threads.
+        // count must terminate and agree with the sequential interpreter.
         let interp = Interpreter::new(catalog(50_000));
         let plan = wide_plan(64);
         let seq = interp.execute(&plan, &ExecOptions::default()).unwrap();
@@ -587,14 +507,108 @@ mod tests {
             );
             // Every instruction still emits its start/done pair.
             assert_eq!(events.len(), 2 * (3 + 64 * 2 + 2));
-            let threads: std::collections::HashSet<usize> =
-                events.iter().map(|e| e.thread).collect();
+            // One worker may finish all 64 fast branches before the OS
+            // runs another, so how many threads ran them is left to
+            // `parked_workers_wake_for_a_fan_out`.
+            assert!(events.iter().all(|e| e.thread < workers));
+        }
+    }
+
+    /// Passes events through, but holds up the done event of pc 0 until
+    /// every other worker has parked (or 10 s have passed), so pc 0's
+    /// dependents become ready only after that.
+    struct HoldRoot {
+        sink: Arc<VecSink>,
+        registry: Arc<Registry>,
+        others: u64,
+    }
+
+    impl crate::profile::ProfilerSink for HoldRoot {
+        fn event(&self, e: &stetho_profiler::TraceEvent) {
+            if e.pc == 0 && e.status == EventStatus::Done {
+                let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+                while self
+                    .registry
+                    .snapshot()
+                    .counter_total("stetho_scheduler_parks_total")
+                    < self.others
+                    && std::time::Instant::now() < deadline
+                {
+                    std::thread::sleep(std::time::Duration::from_millis(1));
+                }
+            }
+            self.sink.event(e);
+        }
+    }
+
+    #[test]
+    fn parked_workers_wake_for_a_fan_out() {
+        // The root readies one sleep per worker only after the other
+        // workers have parked; a scheduler that leaves them parked runs
+        // every sleep on one thread.
+        for workers in [2usize, 4, 8] {
+            let mut text = String::from("X_0:int := sql.mvc();\nX_1:int := calc.+(X_0, 30:int);\n");
+            for _ in 0..workers {
+                text.push_str("alarm.sleep(X_1);\n");
+            }
+            let plan = parse_plan(&text).unwrap();
+            let sink = VecSink::new();
+            let registry = Arc::new(Registry::new());
+            let hold = HoldRoot {
+                sink: sink.clone(),
+                registry: Arc::clone(&registry),
+                others: workers as u64 - 1,
+            };
+            let opts = ExecOptions::parallel(workers, ProfilerConfig::to_sink(Arc::new(hold)))
+                .with_metrics(registry);
+            Interpreter::new(catalog(1)).execute(&plan, &opts).unwrap();
+            let threads: std::collections::HashSet<usize> = sink
+                .take()
+                .iter()
+                .filter(|e| e.stmt.contains("alarm"))
+                .map(|e| e.thread)
+                .collect();
             assert!(
                 threads.len() >= 2,
-                "{workers} workers but only threads {threads:?} ran instructions"
+                "{workers} workers but only threads {threads:?} ran the sleeps"
             );
-            assert!(threads.iter().all(|&t| t < workers));
         }
+    }
+
+    #[test]
+    fn idle_workers_wait_without_polling() {
+        // While one 50 ms sleep runs, the idle workers must block until
+        // the run ends rather than wake on a timer.
+        let workers = 4;
+        let registry = Arc::new(Registry::new());
+        let plan = parse_plan("X_0:int := sql.mvc();\nalarm.sleep(50:int);\n").unwrap();
+        let opts = ExecOptions::parallel(workers, ProfilerConfig::off())
+            .with_metrics(Arc::clone(&registry));
+        Interpreter::new(catalog(1)).execute(&plan, &opts).unwrap();
+        let parks = registry
+            .snapshot()
+            .counter_total("stetho_scheduler_parks_total");
+        assert!(
+            parks <= 2 * workers as u64,
+            "{parks} parks on {workers} workers during one 50 ms instruction"
+        );
+    }
+
+    #[test]
+    fn one_worker_steals_nothing() {
+        let registry = Arc::new(stetho_obsv::Registry::new());
+        let plan = wide_plan(16);
+        let opts =
+            ExecOptions::parallel(1, ProfilerConfig::off()).with_metrics(Arc::clone(&registry));
+        Interpreter::new(catalog(100))
+            .execute(&plan, &opts)
+            .unwrap();
+        let snap = registry.snapshot();
+        assert_eq!(
+            snap.counter_total("stetho_scheduler_executed_total"),
+            plan.len() as u64
+        );
+        assert_eq!(snap.counter_total("stetho_scheduler_stolen_total"), 0);
     }
 
     #[test]

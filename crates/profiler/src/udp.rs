@@ -430,7 +430,7 @@ impl std::fmt::Debug for ProfilerEmitter {
 // Bounded drop-oldest ring
 // ---------------------------------------------------------------------
 
-/// Default capacity of the ring between the socket thread and the
+/// Capacity of the ring between the socket thread and the
 /// consumer; generous enough that well-paced sessions never evict.
 pub const DEFAULT_RING_CAPACITY: usize = 65_536;
 
@@ -605,7 +605,6 @@ pub struct TextualStethoscope {
     filters: Arc<Mutex<HashMap<SocketAddr, FilterOptions>>>,
     default_filter: Arc<Mutex<FilterOptions>>,
     counters: Arc<TransportCounters>,
-    ring_capacity: usize,
     handle: Option<JoinHandle<()>>,
 }
 
@@ -639,7 +638,6 @@ impl TextualStethoscope {
             filters: Arc::new(Mutex::new(HashMap::new())),
             default_filter: Arc::new(Mutex::new(FilterOptions::all())),
             counters: Arc::new(TransportCounters::default()),
-            ring_capacity: DEFAULT_RING_CAPACITY,
             handle: None,
         }
     }
@@ -661,12 +659,6 @@ impl TextualStethoscope {
     /// drop.
     pub fn stop_handle(&self) -> Option<StopHandle> {
         self.stop.clone()
-    }
-
-    /// Set the bounded ring capacity between the socket thread and the
-    /// consumer. Takes effect at [`TextualStethoscope::start`].
-    pub fn set_ring_capacity(&mut self, capacity: usize) {
-        self.ring_capacity = capacity.max(1);
     }
 
     /// Set the filter applied to servers without a per-server override.
@@ -694,7 +686,7 @@ impl TextualStethoscope {
     /// Start the listening thread; returns the stream of items. Call at
     /// most once.
     pub fn start(&mut self) -> StreamReceiver {
-        let ring = Ring::new(self.ring_capacity);
+        let ring = Ring::new(DEFAULT_RING_CAPACITY);
         let decoder = StreamDecoder::with_shared(
             DEFAULT_REORDER_WINDOW,
             Arc::clone(&self.filters),
