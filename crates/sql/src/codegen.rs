@@ -9,6 +9,9 @@
 //! shrink the vector (directly via `algebra.select`/`thetaselect` on the
 //! single-table fast path, or via a computed bit mask after joins); joins
 //! extend it; projection/aggregation turn it into named output columns.
+//! Expressions and predicates are lowered once (`eval_expr`/`eval_mask`)
+//! over a scope: base columns at the rows in flight (WHERE, joins,
+//! aggregate arguments) or named output columns (HAVING).
 
 use std::collections::HashMap;
 
@@ -68,6 +71,15 @@ struct Rows {
 enum Gen {
     Rows(Rows),
     Cols(Vec<(String, VarId)>),
+}
+
+/// What column references in an expression resolve against.
+#[derive(Clone, Copy)]
+enum Scope<'s> {
+    /// Base columns, projected at the rows in flight.
+    Rows(&'s Rows),
+    /// Output columns by name (the HAVING context).
+    Cols(&'s [(String, VarId)]),
 }
 
 /// An evaluated scalar expression.
@@ -174,23 +186,16 @@ impl<'a> Codegen<'a> {
         }
     }
 
-    /// Project a base column at the current rows (one value per row).
-    fn column_over_rows(
+    /// Resolve and `sql.bind` a column reference (the single-binding
+    /// select fast path reads the whole column under a candidate list).
+    fn bind_ref(
         &mut self,
         rows: &Rows,
-        idx: usize,
-        table: &str,
-        column: &str,
+        table: &Option<String>,
+        name: &str,
     ) -> Result<(VarId, MalType)> {
-        let (col, ty) = self.bind_column(table, column)?;
-        let oids = rows.bindings[idx].oids;
-        let out = self.b.call(
-            "algebra",
-            "projection",
-            MalType::bat(ty.clone()),
-            vec![Arg::Var(oids), Arg::Var(col)],
-        );
-        Ok((out, ty))
+        let (_, t, c) = self.resolve(rows, table, name)?;
+        self.bind_column(&t, &c)
     }
 
     fn lit_value(e: &Expr) -> Option<Value> {
@@ -203,20 +208,90 @@ impl<'a> Codegen<'a> {
         }
     }
 
-    /// Evaluate a scalar expression over the current rows.
-    fn eval_expr(&mut self, rows: &Rows, e: &Expr) -> Result<EV> {
+    /// `algebra.projection(oids, var)`: `var`'s values at `oids`.
+    fn project(&mut self, oids: VarId, var: VarId) -> VarId {
+        let ty = self.b.var_type(var).clone();
+        self.b.call(
+            "algebra",
+            "projection",
+            ty,
+            vec![Arg::Var(oids), Arg::Var(var)],
+        )
+    }
+
+    /// The positions where a bit mask is true.
+    fn select_true(&mut self, mask: VarId) -> VarId {
+        let t = || Arg::Lit(Value::Bit(true));
+        self.b.call(
+            "algebra",
+            "select",
+            MalType::bat(MalType::Oid),
+            vec![Arg::Var(mask), t(), t(), t()],
+        )
+    }
+
+    /// The candidates whose `col` value lies in `[lo, hi]`.
+    fn select_range(&mut self, col: VarId, cand: VarId, lo: Value, hi: Value) -> VarId {
+        self.b.call(
+            "algebra",
+            "select",
+            MalType::bat(MalType::Oid),
+            vec![
+                Arg::Var(col),
+                Arg::Var(cand),
+                Arg::Lit(lo),
+                Arg::Lit(hi),
+                Arg::Lit(Value::Bit(true)),
+            ],
+        )
+    }
+
+    /// A `batcalc` call producing a bit mask.
+    fn bits(&mut self, op: &str, args: Vec<Arg>) -> VarId {
+        self.b.call("batcalc", op, MalType::bat(MalType::Bit), args)
+    }
+
+    /// `group.group` on the first key and `group.subgroup` for the rest;
+    /// returns (group ids, extents: each group's first row).
+    fn group_by(&mut self, keys: &[VarId]) -> (VarId, VarId) {
+        let mut groups: Option<(VarId, VarId)> = None;
+        for &key in keys {
+            let g = self.b.new_var(MalType::bat(MalType::Oid));
+            let e = self.b.new_var(MalType::bat(MalType::Oid));
+            let h = self.b.new_var(MalType::bat(MalType::Int));
+            let mut args = vec![Arg::Var(key)];
+            args.extend(groups.map(|(prev, _)| Arg::Var(prev)));
+            let function = if groups.is_none() {
+                "group"
+            } else {
+                "subgroup"
+            };
+            self.b.push("group", function, vec![g, e, h], args);
+            groups = Some((g, e));
+        }
+        groups.expect("grouping needs a key")
+    }
+
+    /// Evaluate a scalar expression in a scope.
+    fn eval_expr(&mut self, scope: Scope, e: &Expr) -> Result<EV> {
         if let Some(v) = Self::lit_value(e) {
             return Ok(EV::Lit(v));
         }
         match e {
-            Expr::Column { table, name } => {
-                let (idx, t, c) = self.resolve(rows, table, name)?;
-                let (var, ty) = self.column_over_rows(rows, idx, &t, &c)?;
-                Ok(EV::Bat(var, ty))
-            }
+            Expr::Column { table, name } => match scope {
+                Scope::Rows(rows) => {
+                    let (idx, t, c) = self.resolve(rows, table, name)?;
+                    let (col, ty) = self.bind_column(&t, &c)?;
+                    Ok(EV::Bat(self.project(rows.bindings[idx].oids, col), ty))
+                }
+                Scope::Cols(cols) => {
+                    let var = find_col(cols, name)?;
+                    Ok(EV::Bat(var, self.b.var_type(var).tail().clone()))
+                }
+            },
             Expr::Arith { op, left, right } => {
-                let l = self.eval_expr(rows, left)?;
-                let r = self.eval_expr(rows, right)?;
+                let l = self.eval_expr(scope, left)?;
+                let r = self.eval_expr(scope, right)?;
                 match (&l, &r) {
                     (EV::Lit(a), EV::Lit(b)) => fold_scalar(*op, a, b).map(EV::Lit),
                     _ => {
@@ -237,23 +312,26 @@ impl<'a> Codegen<'a> {
         }
     }
 
-    /// Evaluate a predicate to a bit-mask BAT aligned with the rows.
-    fn eval_mask(&mut self, rows: &Rows, p: &Pred) -> Result<VarId> {
+    /// Evaluate an expression that must yield a BAT; `err` otherwise.
+    fn eval_bat(&mut self, scope: Scope, e: &Expr, err: SqlError) -> Result<(VarId, MalType)> {
+        match self.eval_expr(scope, e)? {
+            EV::Bat(v, ty) => Ok((v, ty)),
+            EV::Lit(_) => Err(err),
+        }
+    }
+
+    /// Evaluate a predicate to a bit-mask BAT aligned with the scope.
+    fn eval_mask(&mut self, scope: Scope, p: &Pred) -> Result<VarId> {
         match p {
             Pred::Cmp { op, left, right } => {
-                let mut l = self.eval_expr(rows, left)?;
-                let mut r = self.eval_expr(rows, right)?;
+                let mut l = self.eval_expr(scope, left)?;
+                let mut r = self.eval_expr(scope, right)?;
                 self.coerce_date_sides(&mut l, &mut r);
                 match (&l, &r) {
                     (EV::Lit(_), EV::Lit(_)) => {
                         Err(SqlError::Unsupported("constant predicates".into()))
                     }
-                    _ => Ok(self.b.call(
-                        "batcalc",
-                        op.theta(),
-                        MalType::bat(MalType::Bit),
-                        vec![ev_arg(&l), ev_arg(&r)],
-                    )),
+                    _ => Ok(self.bits(op.theta(), vec![ev_arg(&l), ev_arg(&r)])),
                 }
             }
             Pred::Like {
@@ -261,26 +339,13 @@ impl<'a> Codegen<'a> {
                 pattern,
                 negated,
             } => {
-                let col = match self.eval_expr(rows, expr)? {
-                    EV::Bat(v, _) => v,
-                    EV::Lit(_) => return Err(SqlError::Unsupported("LIKE over a constant".into())),
-                };
-                let mask = self.b.call(
-                    "batcalc",
+                let err = SqlError::Unsupported("LIKE over a constant".into());
+                let (col, _) = self.eval_bat(scope, expr, err)?;
+                let mask = self.bits(
                     "like",
-                    MalType::bat(MalType::Bit),
                     vec![Arg::Var(col), Arg::Lit(Value::Str(pattern.clone()))],
                 );
-                if *negated {
-                    Ok(self.b.call(
-                        "batcalc",
-                        "not",
-                        MalType::bat(MalType::Bit),
-                        vec![Arg::Var(mask)],
-                    ))
-                } else {
-                    Ok(mask)
-                }
+                Ok(self.negate_if(*negated, mask))
             }
             Pred::InList {
                 expr,
@@ -291,7 +356,7 @@ impl<'a> Codegen<'a> {
                 let mut acc: Option<VarId> = None;
                 for item in list {
                     let m = self.eval_mask(
-                        rows,
+                        scope,
                         &Pred::Cmp {
                             op: CmpOp::Eq,
                             left: expr.clone(),
@@ -299,26 +364,12 @@ impl<'a> Codegen<'a> {
                         },
                     )?;
                     acc = Some(match acc {
-                        Some(prev) => self.b.call(
-                            "batcalc",
-                            "or",
-                            MalType::bat(MalType::Bit),
-                            vec![Arg::Var(prev), Arg::Var(m)],
-                        ),
+                        Some(prev) => self.bits("or", vec![Arg::Var(prev), Arg::Var(m)]),
                         None => m,
                     });
                 }
                 let mask = acc.ok_or_else(|| SqlError::Semantic("empty IN list".into()))?;
-                if *negated {
-                    Ok(self.b.call(
-                        "batcalc",
-                        "not",
-                        MalType::bat(MalType::Bit),
-                        vec![Arg::Var(mask)],
-                    ))
-                } else {
-                    Ok(mask)
-                }
+                Ok(self.negate_if(*negated, mask))
             }
             Pred::Between { expr, lo, hi } => {
                 let lo_p = Pred::Cmp {
@@ -331,44 +382,32 @@ impl<'a> Codegen<'a> {
                     left: expr.clone(),
                     right: hi.clone(),
                 };
-                let a = self.eval_mask(rows, &lo_p)?;
-                let b = self.eval_mask(rows, &hi_p)?;
-                Ok(self.b.call(
-                    "batcalc",
-                    "and",
-                    MalType::bat(MalType::Bit),
-                    vec![Arg::Var(a), Arg::Var(b)],
-                ))
+                let a = self.eval_mask(scope, &lo_p)?;
+                let b = self.eval_mask(scope, &hi_p)?;
+                Ok(self.bits("and", vec![Arg::Var(a), Arg::Var(b)]))
             }
-            Pred::And(a, b) => {
-                let ma = self.eval_mask(rows, a)?;
-                let mb = self.eval_mask(rows, b)?;
-                Ok(self.b.call(
-                    "batcalc",
-                    "and",
-                    MalType::bat(MalType::Bit),
-                    vec![Arg::Var(ma), Arg::Var(mb)],
-                ))
-            }
-            Pred::Or(a, b) => {
-                let ma = self.eval_mask(rows, a)?;
-                let mb = self.eval_mask(rows, b)?;
-                Ok(self.b.call(
-                    "batcalc",
-                    "or",
-                    MalType::bat(MalType::Bit),
-                    vec![Arg::Var(ma), Arg::Var(mb)],
-                ))
+            Pred::And(a, b) | Pred::Or(a, b) => {
+                let ma = self.eval_mask(scope, a)?;
+                let mb = self.eval_mask(scope, b)?;
+                let op = if matches!(p, Pred::And(..)) {
+                    "and"
+                } else {
+                    "or"
+                };
+                Ok(self.bits(op, vec![Arg::Var(ma), Arg::Var(mb)]))
             }
             Pred::Not(a) => {
-                let m = self.eval_mask(rows, a)?;
-                Ok(self.b.call(
-                    "batcalc",
-                    "not",
-                    MalType::bat(MalType::Bit),
-                    vec![Arg::Var(m)],
-                ))
+                let m = self.eval_mask(scope, a)?;
+                Ok(self.negate_if(true, m))
             }
+        }
+    }
+
+    fn negate_if(&mut self, negated: bool, mask: VarId) -> VarId {
+        if negated {
+            self.bits("not", vec![Arg::Var(mask)])
+        } else {
+            mask
         }
     }
 
@@ -412,56 +451,52 @@ impl<'a> Codegen<'a> {
     /// Try the direct select/thetaselect path for one conjunct; returns
     /// true when handled.
     fn try_simple_select(&mut self, rows: &mut Rows, c: &Pred) -> Result<bool> {
-        let (col_expr, op, lit) = match c {
+        let cand = rows.bindings[0].oids;
+        let new = match c {
             Pred::Cmp { op, left, right } => {
-                if matches!(left, Expr::Column { .. }) {
-                    match Self::lit_value(right) {
-                        Some(v) => (left, *op, v),
-                        None => return Ok(false),
-                    }
-                } else if matches!(right, Expr::Column { .. }) {
-                    match Self::lit_value(left) {
-                        Some(v) => (right, flip(*op), v),
-                        None => return Ok(false),
-                    }
-                } else {
-                    return Ok(false);
-                }
-            }
-            Pred::Between { expr, lo, hi } => {
-                if let (Expr::Column { table, name }, Some(lo), Some(hi)) =
-                    (expr, Self::lit_value(lo), Self::lit_value(hi))
-                {
-                    let (_, t, cname) = self.resolve(rows, table, name)?;
-                    let (col, ty) = self.bind_column(&t, &cname)?;
-                    let (lo, hi) = (coerce_lit(lo, &ty), coerce_lit(hi, &ty));
-                    let cand = rows.bindings[0].oids;
-                    let new = self.b.call(
+                let (table, name, op, lit) =
+                    match (left, right, Self::lit_value(left), Self::lit_value(right)) {
+                        (Expr::Column { table, name }, _, _, Some(v)) => (table, name, *op, v),
+                        (_, Expr::Column { table, name }, Some(v), _) => {
+                            (table, name, flip(*op), v)
+                        }
+                        _ => return Ok(false),
+                    };
+                let (col, ty) = self.bind_ref(rows, table, name)?;
+                let lit = coerce_lit(lit, &ty);
+                match op {
+                    CmpOp::Eq => self.select_range(col, cand, lit.clone(), lit),
+                    other => self.b.call(
                         "algebra",
-                        "select",
+                        "thetaselect",
                         MalType::bat(MalType::Oid),
                         vec![
                             Arg::Var(col),
                             Arg::Var(cand),
-                            Arg::Lit(lo),
-                            Arg::Lit(hi),
-                            Arg::Lit(Value::Bit(true)),
+                            Arg::Lit(lit),
+                            Arg::Lit(Value::Str(other.theta().into())),
                         ],
-                    );
-                    rows.bindings[0].oids = new;
-                    return Ok(true);
+                    ),
                 }
-                return Ok(false);
             }
+            Pred::Between {
+                expr: Expr::Column { table, name },
+                lo,
+                hi,
+            } => match (Self::lit_value(lo), Self::lit_value(hi)) {
+                (Some(lo), Some(hi)) => {
+                    let (col, ty) = self.bind_ref(rows, table, name)?;
+                    self.select_range(col, cand, coerce_lit(lo, &ty), coerce_lit(hi, &ty))
+                }
+                _ => return Ok(false),
+            },
             Pred::Like {
                 expr: Expr::Column { table, name },
                 pattern,
                 negated,
             } => {
-                let (_, t, cname) = self.resolve(rows, table, name)?;
-                let (col, _) = self.bind_column(&t, &cname)?;
-                let cand = rows.bindings[0].oids;
-                let new = self.b.call(
+                let (col, _) = self.bind_ref(rows, table, name)?;
+                self.b.call(
                     "algebra",
                     "likeselect",
                     MalType::bat(MalType::Oid),
@@ -471,9 +506,7 @@ impl<'a> Codegen<'a> {
                         Arg::Lit(Value::Str(pattern.clone())),
                         Arg::Lit(Value::Bit(*negated)),
                     ],
-                );
-                rows.bindings[0].oids = new;
-                return Ok(true);
+                )
             }
             Pred::InList {
                 expr: Expr::Column { table, name },
@@ -481,24 +514,11 @@ impl<'a> Codegen<'a> {
                 negated: false,
             } if list.iter().all(|e| Self::lit_value(e).is_some()) => {
                 // Union of equality selections over the shared candidates.
-                let (_, t, cname) = self.resolve(rows, table, name)?;
-                let (col, ty) = self.bind_column(&t, &cname)?;
-                let cand = rows.bindings[0].oids;
+                let (col, ty) = self.bind_ref(rows, table, name)?;
                 let mut acc: Option<VarId> = None;
                 for item in list {
                     let lit = coerce_lit(Self::lit_value(item).expect("checked literal"), &ty);
-                    let sel = self.b.call(
-                        "algebra",
-                        "select",
-                        MalType::bat(MalType::Oid),
-                        vec![
-                            Arg::Var(col),
-                            Arg::Var(cand),
-                            Arg::Lit(lit.clone()),
-                            Arg::Lit(lit),
-                            Arg::Lit(Value::Bit(true)),
-                        ],
-                    );
+                    let sel = self.select_range(col, cand, lit.clone(), lit);
                     acc = Some(match acc {
                         Some(prev) => self.b.call(
                             "algebra",
@@ -509,44 +529,9 @@ impl<'a> Codegen<'a> {
                         None => sel,
                     });
                 }
-                rows.bindings[0].oids =
-                    acc.ok_or_else(|| SqlError::Semantic("empty IN list".into()))?;
-                return Ok(true);
+                acc.ok_or_else(|| SqlError::Semantic("empty IN list".into()))?
             }
             _ => return Ok(false),
-        };
-        let (table, name) = match col_expr {
-            Expr::Column { table, name } => (table, name),
-            _ => return Ok(false),
-        };
-        let (_, t, cname) = self.resolve(rows, table, name)?;
-        let (col, ty) = self.bind_column(&t, &cname)?;
-        let lit = coerce_lit(lit, &ty);
-        let cand = rows.bindings[0].oids;
-        let new = match op {
-            CmpOp::Eq => self.b.call(
-                "algebra",
-                "select",
-                MalType::bat(MalType::Oid),
-                vec![
-                    Arg::Var(col),
-                    Arg::Var(cand),
-                    Arg::Lit(lit.clone()),
-                    Arg::Lit(lit),
-                    Arg::Lit(Value::Bit(true)),
-                ],
-            ),
-            other => self.b.call(
-                "algebra",
-                "thetaselect",
-                MalType::bat(MalType::Oid),
-                vec![
-                    Arg::Var(col),
-                    Arg::Var(cand),
-                    Arg::Lit(lit),
-                    Arg::Lit(Value::Str(other.theta().into())),
-                ],
-            ),
         };
         rows.bindings[0].oids = new;
         Ok(true)
@@ -554,29 +539,14 @@ impl<'a> Codegen<'a> {
 
     /// The general mask-based filter.
     fn mask_filter(&mut self, rows: Rows, pred: &Pred) -> Result<Rows> {
-        let mask = self.eval_mask(&rows, pred)?;
-        let sel = self.b.call(
-            "algebra",
-            "select",
-            MalType::bat(MalType::Oid),
-            vec![
-                Arg::Var(mask),
-                Arg::Lit(Value::Bit(true)),
-                Arg::Lit(Value::Bit(true)),
-                Arg::Lit(Value::Bit(true)),
-            ],
-        );
+        let mask = self.eval_mask(Scope::Rows(&rows), pred)?;
+        let sel = self.select_true(mask);
         let bindings = rows
             .bindings
             .into_iter()
-            .map(|b| {
-                let oids = self.b.call(
-                    "algebra",
-                    "projection",
-                    MalType::bat(MalType::Oid),
-                    vec![Arg::Var(sel), Arg::Var(b.oids)],
-                );
-                Binding { oids, ..b }
+            .map(|b| Binding {
+                oids: self.project(sel, b.oids),
+                ..b
             })
             .collect();
         Ok(Rows { bindings })
@@ -621,18 +591,9 @@ impl<'a> Codegen<'a> {
             } => {
                 let l = self.gen_rows(left)?;
                 let r = self.gen_rows(right)?;
-                let lv = match self.eval_expr(&l, left_col)? {
-                    EV::Bat(v, _) => v,
-                    EV::Lit(_) => {
-                        return Err(SqlError::Semantic("join key must be a column".into()))
-                    }
-                };
-                let rv = match self.eval_expr(&r, right_col)? {
-                    EV::Bat(v, _) => v,
-                    EV::Lit(_) => {
-                        return Err(SqlError::Semantic("join key must be a column".into()))
-                    }
-                };
+                let key_err = || SqlError::Semantic("join key must be a column".into());
+                let (lv, _) = self.eval_bat(Scope::Rows(&l), left_col, key_err())?;
+                let (rv, _) = self.eval_bat(Scope::Rows(&r), right_col, key_err())?;
                 let jl = self.b.new_var(MalType::bat(MalType::Oid));
                 let jr = self.b.new_var(MalType::bat(MalType::Oid));
                 self.b.push(
@@ -641,37 +602,22 @@ impl<'a> Codegen<'a> {
                     vec![jl, jr],
                     vec![Arg::Var(lv), Arg::Var(rv)],
                 );
-                let mut bindings = Vec::new();
-                for b in l.bindings {
-                    let oids = self.b.call(
-                        "algebra",
-                        "projection",
-                        MalType::bat(MalType::Oid),
-                        vec![Arg::Var(jl), Arg::Var(b.oids)],
-                    );
-                    bindings.push(Binding { oids, ..b });
-                }
-                for b in r.bindings {
-                    let oids = self.b.call(
-                        "algebra",
-                        "projection",
-                        MalType::bat(MalType::Oid),
-                        vec![Arg::Var(jr), Arg::Var(b.oids)],
-                    );
-                    bindings.push(Binding { oids, ..b });
-                }
+                let sides = l.bindings.into_iter().map(|b| (jl, b));
+                let sides = sides.chain(r.bindings.into_iter().map(|b| (jr, b)));
+                let bindings = sides
+                    .map(|(j, b)| Binding {
+                        oids: self.project(j, b.oids),
+                        ..b
+                    })
+                    .collect();
                 Ok(Gen::Rows(Rows { bindings }))
             }
             RelOp::Project { input, items } => {
                 let rows = self.gen_rows(input)?;
                 let mut cols = Vec::with_capacity(items.len());
                 for item in items {
-                    let var = match self.eval_expr(&rows, &item.expr)? {
-                        EV::Bat(v, _) => v,
-                        EV::Lit(_) => {
-                            return Err(SqlError::Unsupported("constant select items".into()))
-                        }
-                    };
+                    let err = SqlError::Unsupported("constant select items".into());
+                    let (var, _) = self.eval_bat(Scope::Rows(&rows), &item.expr, err)?;
                     cols.push((item.alias.clone(), var));
                 }
                 Ok(Gen::Cols(cols))
@@ -739,6 +685,8 @@ impl<'a> Codegen<'a> {
         }
     }
 
+    /// Scalar aggregation without keys; grouped aggregation (one output
+    /// row per group) with them.
     fn gen_aggregate(
         &mut self,
         rows: Rows,
@@ -747,110 +695,57 @@ impl<'a> Codegen<'a> {
         output: &[String],
     ) -> Result<Gen> {
         let mut named: HashMap<String, VarId> = HashMap::new();
+        let scope = Scope::Rows(&rows);
 
-        if keys.is_empty() {
-            // Global aggregation → scalar results.
-            for a in aggs {
-                let var = match (&a.func, &a.arg) {
-                    (AggFunc::Count, None) => {
-                        let oids = rows.bindings[0].oids;
-                        self.b
-                            .call("aggr", "count", MalType::Int, vec![Arg::Var(oids)])
-                    }
-                    (func, arg) => {
-                        let arg = arg.as_ref().ok_or_else(|| {
-                            SqlError::Semantic("aggregate needs an argument".into())
-                        })?;
-                        let (v, ty) = match self.eval_expr(&rows, arg)? {
-                            EV::Bat(v, ty) => (v, ty),
-                            EV::Lit(_) => {
-                                return Err(SqlError::Unsupported("aggregating a constant".into()))
-                            }
-                        };
-                        let (fname, rty) = plain_agg(func, &ty);
-                        self.b.call("aggr", fname, rty, vec![Arg::Var(v)])
-                    }
-                };
-                named.insert(a.alias.clone(), var);
-            }
+        let groups = if keys.is_empty() {
+            None
         } else {
-            // Grouped aggregation.
             let mut key_bats = Vec::new();
             for k in keys {
-                match self.eval_expr(&rows, k)? {
-                    EV::Bat(v, ty) => key_bats.push((v, ty)),
-                    EV::Lit(_) => return Err(SqlError::Semantic("GROUP BY constant".into())),
+                let err = SqlError::Semantic("GROUP BY constant".into());
+                key_bats.push(self.eval_bat(scope, k, err)?.0);
+            }
+            let (g, e) = self.group_by(&key_bats);
+            // Key output columns: key value at each group's first row.
+            for (k, kv) in keys.iter().zip(&key_bats) {
+                if let Expr::Column { name, .. } = k {
+                    let out = self.project(e, *kv);
+                    named.insert(name.clone(), out);
                 }
             }
-            // group.group on the first key, subgroup for the rest.
-            let g = self.b.new_var(MalType::bat(MalType::Oid));
-            let e = self.b.new_var(MalType::bat(MalType::Oid));
-            let h = self.b.new_var(MalType::bat(MalType::Int));
-            self.b.push(
-                "group",
-                "group",
-                vec![g, e, h],
-                vec![Arg::Var(key_bats[0].0)],
-            );
-            let (mut g, mut e) = (g, e);
-            for (kv, _) in &key_bats[1..] {
-                let g2 = self.b.new_var(MalType::bat(MalType::Oid));
-                let e2 = self.b.new_var(MalType::bat(MalType::Oid));
-                let h2 = self.b.new_var(MalType::bat(MalType::Int));
-                self.b.push(
-                    "group",
-                    "subgroup",
-                    vec![g2, e2, h2],
-                    vec![Arg::Var(*kv), Arg::Var(g)],
-                );
-                g = g2;
-                e = e2;
-            }
+            Some((g, e))
+        };
 
-            // Key output columns: key value at each group's first row.
-            for (k, (kv, ty)) in keys.iter().zip(&key_bats) {
-                let name = match k {
-                    Expr::Column { name, .. } => name.clone(),
-                    _ => continue,
-                };
-                let out = self.b.call(
-                    "algebra",
-                    "projection",
-                    MalType::bat(ty.clone()),
-                    vec![Arg::Var(e), Arg::Var(*kv)],
-                );
-                named.insert(name, out);
-            }
-
-            for a in aggs {
-                let var = match (&a.func, &a.arg) {
-                    (AggFunc::Count, None) => self.b.call(
-                        "aggr",
-                        "subcount",
-                        MalType::bat(MalType::Int),
-                        vec![Arg::Var(g), Arg::Var(g), Arg::Var(e)],
-                    ),
-                    (func, arg) => {
-                        let arg = arg.as_ref().ok_or_else(|| {
-                            SqlError::Semantic("aggregate needs an argument".into())
-                        })?;
-                        let (v, ty) = match self.eval_expr(&rows, arg)? {
-                            EV::Bat(v, ty) => (v, ty),
-                            EV::Lit(_) => {
-                                return Err(SqlError::Unsupported("aggregating a constant".into()))
-                            }
-                        };
-                        let (fname, rty) = grouped_agg(func, &ty);
-                        self.b.call(
+        for a in aggs {
+            let var = match (&a.arg, groups) {
+                (None, None) if a.func == AggFunc::Count => {
+                    let oids = rows.bindings[0].oids;
+                    self.b
+                        .call("aggr", "count", MalType::Int, vec![Arg::Var(oids)])
+                }
+                (None, Some((g, e))) if a.func == AggFunc::Count => self.b.call(
+                    "aggr",
+                    "subcount",
+                    MalType::bat(MalType::Int),
+                    vec![Arg::Var(g), Arg::Var(g), Arg::Var(e)],
+                ),
+                (None, _) => return Err(SqlError::Semantic("aggregate needs an argument".into())),
+                (Some(arg), groups) => {
+                    let err = SqlError::Unsupported("aggregating a constant".into());
+                    let (v, ty) = self.eval_bat(scope, arg, err)?;
+                    let (fname, rty) = agg_fn(a.func, &ty);
+                    match groups {
+                        None => self.b.call("aggr", fname, rty, vec![Arg::Var(v)]),
+                        Some((g, e)) => self.b.call(
                             "aggr",
-                            fname,
-                            rty,
+                            &format!("sub{fname}"),
+                            MalType::bat(rty),
                             vec![Arg::Var(v), Arg::Var(g), Arg::Var(e)],
-                        )
+                        ),
                     }
-                };
-                named.insert(a.alias.clone(), var);
-            }
+                }
+            };
+            named.insert(a.alias.clone(), var);
         }
 
         let mut cols = Vec::with_capacity(output.len());
@@ -869,42 +764,11 @@ impl<'a> Codegen<'a> {
         if cols.is_empty() {
             return Ok(Gen::Cols(cols));
         }
-        // group.group on the first column, subgroup for the rest.
-        let g0 = self.b.new_var(MalType::bat(MalType::Oid));
-        let e0 = self.b.new_var(MalType::bat(MalType::Oid));
-        let h0 = self.b.new_var(MalType::bat(MalType::Int));
-        self.b.push(
-            "group",
-            "group",
-            vec![g0, e0, h0],
-            vec![Arg::Var(cols[0].1)],
-        );
-        let (mut g, mut e) = (g0, e0);
-        for (_, var) in &cols[1..] {
-            let g2 = self.b.new_var(MalType::bat(MalType::Oid));
-            let e2 = self.b.new_var(MalType::bat(MalType::Oid));
-            let h2 = self.b.new_var(MalType::bat(MalType::Int));
-            self.b.push(
-                "group",
-                "subgroup",
-                vec![g2, e2, h2],
-                vec![Arg::Var(*var), Arg::Var(g)],
-            );
-            g = g2;
-            e = e2;
-        }
+        let vars: Vec<VarId> = cols.iter().map(|(_, v)| *v).collect();
+        let (_, e) = self.group_by(&vars);
         let out = cols
             .into_iter()
-            .map(|(name, var)| {
-                let ty = self.b.var_type(var).clone();
-                let deduped = self.b.call(
-                    "algebra",
-                    "projection",
-                    ty,
-                    vec![Arg::Var(e), Arg::Var(var)],
-                );
-                (name, deduped)
-            })
+            .map(|(name, var)| (name, self.project(e, var)))
             .collect();
         Ok(Gen::Cols(out))
     }
@@ -917,234 +781,27 @@ impl<'a> Codegen<'a> {
         pred: &Pred,
         drop: &[String],
     ) -> Result<Gen> {
-        let mask = self.eval_mask_over_cols(&cols, pred)?;
-        let sel = self.b.call(
-            "algebra",
-            "select",
-            MalType::bat(MalType::Oid),
-            vec![
-                Arg::Var(mask),
-                Arg::Lit(Value::Bit(true)),
-                Arg::Lit(Value::Bit(true)),
-                Arg::Lit(Value::Bit(true)),
-            ],
-        );
+        let mask = self.eval_mask(Scope::Cols(&cols), pred)?;
+        let sel = self.select_true(mask);
         let out = cols
             .into_iter()
             .filter(|(name, _)| !drop.contains(name))
-            .map(|(name, var)| {
-                let ty = self.b.var_type(var).clone();
-                let filtered = self.b.call(
-                    "algebra",
-                    "projection",
-                    ty,
-                    vec![Arg::Var(sel), Arg::Var(var)],
-                );
-                (name, filtered)
-            })
+            .map(|(name, var)| (name, self.project(sel, var)))
             .collect();
         Ok(Gen::Cols(out))
-    }
-
-    /// Evaluate an expression where column references name output
-    /// columns (the HAVING context).
-    fn eval_expr_over_cols(&mut self, cols: &[(String, VarId)], e: &Expr) -> Result<EV> {
-        if let Some(v) = Self::lit_value(e) {
-            return Ok(EV::Lit(v));
-        }
-        match e {
-            Expr::Column { name, .. } => {
-                let var = cols
-                    .iter()
-                    .find(|(n, _)| n == name)
-                    .map(|(_, v)| *v)
-                    .ok_or_else(|| SqlError::Unknown {
-                        kind: "column",
-                        name: name.clone(),
-                    })?;
-                let ty = self.b.var_type(var).tail().clone();
-                Ok(EV::Bat(var, ty))
-            }
-            Expr::Arith { op, left, right } => {
-                let l = self.eval_expr_over_cols(cols, left)?;
-                let r = self.eval_expr_over_cols(cols, right)?;
-                match (&l, &r) {
-                    (EV::Lit(a), EV::Lit(b)) => fold_scalar(*op, a, b).map(EV::Lit),
-                    _ => {
-                        let out_ty = arith_type(&l, &r);
-                        let var = self.b.call(
-                            "batcalc",
-                            op.mal_name(),
-                            MalType::bat(out_ty.clone()),
-                            vec![ev_arg(&l), ev_arg(&r)],
-                        );
-                        Ok(EV::Bat(var, out_ty))
-                    }
-                }
-            }
-            Expr::Agg { .. } => Err(SqlError::Semantic(
-                "unrewritten aggregate in HAVING (internal)".into(),
-            )),
-            _ => unreachable!("literals handled above"),
-        }
-    }
-
-    /// Predicate mask in the HAVING context (column refs = output names).
-    fn eval_mask_over_cols(&mut self, cols: &[(String, VarId)], p: &Pred) -> Result<VarId> {
-        match p {
-            Pred::Cmp { op, left, right } => {
-                let l = self.eval_expr_over_cols(cols, left)?;
-                let r = self.eval_expr_over_cols(cols, right)?;
-                match (&l, &r) {
-                    (EV::Lit(_), EV::Lit(_)) => {
-                        Err(SqlError::Unsupported("constant HAVING predicates".into()))
-                    }
-                    _ => Ok(self.b.call(
-                        "batcalc",
-                        op.theta(),
-                        MalType::bat(MalType::Bit),
-                        vec![ev_arg(&l), ev_arg(&r)],
-                    )),
-                }
-            }
-            Pred::Between { expr, lo, hi } => {
-                let a = self.eval_mask_over_cols(
-                    cols,
-                    &Pred::Cmp {
-                        op: CmpOp::Ge,
-                        left: expr.clone(),
-                        right: lo.clone(),
-                    },
-                )?;
-                let b = self.eval_mask_over_cols(
-                    cols,
-                    &Pred::Cmp {
-                        op: CmpOp::Le,
-                        left: expr.clone(),
-                        right: hi.clone(),
-                    },
-                )?;
-                Ok(self.b.call(
-                    "batcalc",
-                    "and",
-                    MalType::bat(MalType::Bit),
-                    vec![Arg::Var(a), Arg::Var(b)],
-                ))
-            }
-            Pred::And(a, b) => {
-                let ma = self.eval_mask_over_cols(cols, a)?;
-                let mb = self.eval_mask_over_cols(cols, b)?;
-                Ok(self.b.call(
-                    "batcalc",
-                    "and",
-                    MalType::bat(MalType::Bit),
-                    vec![Arg::Var(ma), Arg::Var(mb)],
-                ))
-            }
-            Pred::Or(a, b) => {
-                let ma = self.eval_mask_over_cols(cols, a)?;
-                let mb = self.eval_mask_over_cols(cols, b)?;
-                Ok(self.b.call(
-                    "batcalc",
-                    "or",
-                    MalType::bat(MalType::Bit),
-                    vec![Arg::Var(ma), Arg::Var(mb)],
-                ))
-            }
-            Pred::Not(a) => {
-                let m = self.eval_mask_over_cols(cols, a)?;
-                Ok(self.b.call(
-                    "batcalc",
-                    "not",
-                    MalType::bat(MalType::Bit),
-                    vec![Arg::Var(m)],
-                ))
-            }
-            Pred::Like {
-                expr,
-                pattern,
-                negated,
-            } => {
-                let col = match self.eval_expr_over_cols(cols, expr)? {
-                    EV::Bat(v, _) => v,
-                    EV::Lit(_) => return Err(SqlError::Unsupported("LIKE over a constant".into())),
-                };
-                let mask = self.b.call(
-                    "batcalc",
-                    "like",
-                    MalType::bat(MalType::Bit),
-                    vec![Arg::Var(col), Arg::Lit(Value::Str(pattern.clone()))],
-                );
-                if *negated {
-                    Ok(self.b.call(
-                        "batcalc",
-                        "not",
-                        MalType::bat(MalType::Bit),
-                        vec![Arg::Var(mask)],
-                    ))
-                } else {
-                    Ok(mask)
-                }
-            }
-            Pred::InList {
-                expr,
-                list,
-                negated,
-            } => {
-                let mut acc: Option<VarId> = None;
-                for item in list {
-                    let m = self.eval_mask_over_cols(
-                        cols,
-                        &Pred::Cmp {
-                            op: CmpOp::Eq,
-                            left: expr.clone(),
-                            right: item.clone(),
-                        },
-                    )?;
-                    acc = Some(match acc {
-                        Some(prev) => self.b.call(
-                            "batcalc",
-                            "or",
-                            MalType::bat(MalType::Bit),
-                            vec![Arg::Var(prev), Arg::Var(m)],
-                        ),
-                        None => m,
-                    });
-                }
-                let mask = acc.ok_or_else(|| SqlError::Semantic("empty IN list".into()))?;
-                if *negated {
-                    Ok(self.b.call(
-                        "batcalc",
-                        "not",
-                        MalType::bat(MalType::Bit),
-                        vec![Arg::Var(mask)],
-                    ))
-                } else {
-                    Ok(mask)
-                }
-            }
-        }
     }
 
     fn gen_sort(&mut self, mut cols: Vec<(String, VarId)>, keys: &[OrderKey]) -> Result<Gen> {
         // Stable sort by minor keys first, then major keys.
         for key in keys.iter().rev() {
-            let keyname = match &key.expr {
-                Expr::Column { name, .. } => name.clone(),
+            let keyvar = match &key.expr {
+                Expr::Column { name, .. } => find_col(&cols, name)?,
                 _ => {
                     return Err(SqlError::Unsupported(
                         "ORDER BY expressions (use an alias)".into(),
                     ))
                 }
             };
-            let keyvar = cols
-                .iter()
-                .find(|(n, _)| *n == keyname)
-                .map(|(_, v)| *v)
-                .ok_or_else(|| SqlError::Unknown {
-                    kind: "column",
-                    name: keyname.clone(),
-                })?;
             let sorted = self.b.new_var(self.b.var_type(keyvar).clone());
             let order = self.b.new_var(MalType::bat(MalType::Oid));
             self.b.push(
@@ -1159,20 +816,24 @@ impl<'a> Codegen<'a> {
                     if var == keyvar {
                         (name, sorted)
                     } else {
-                        let ty = self.b.var_type(var).clone();
-                        let reordered = self.b.call(
-                            "algebra",
-                            "projection",
-                            ty,
-                            vec![Arg::Var(order), Arg::Var(var)],
-                        );
-                        (name, reordered)
+                        (name, self.project(order, var))
                     }
                 })
                 .collect();
         }
         Ok(Gen::Cols(cols))
     }
+}
+
+/// The output column called `name`.
+fn find_col(cols: &[(String, VarId)], name: &str) -> Result<VarId> {
+    cols.iter()
+        .find(|(n, _)| n == name)
+        .map(|(_, v)| *v)
+        .ok_or_else(|| SqlError::Unknown {
+            kind: "column",
+            name: name.to_string(),
+        })
 }
 
 fn ev_arg(e: &EV) -> Arg {
@@ -1244,22 +905,14 @@ fn coerce_lit(v: Value, col_ty: &MalType) -> Value {
     }
 }
 
-fn plain_agg(f: &AggFunc, arg_ty: &MalType) -> (&'static str, MalType) {
+/// An aggregate's `aggr` function and result type over one group; the
+/// grouped form is `sub<name>` returning a BAT of the same tail type.
+fn agg_fn(f: AggFunc, arg_ty: &MalType) -> (&'static str, MalType) {
     match f {
         AggFunc::Sum => ("sum", arg_ty.clone()),
         AggFunc::Count => ("count", MalType::Int),
         AggFunc::Avg => ("avg", MalType::Dbl),
         AggFunc::Min => ("min", arg_ty.clone()),
         AggFunc::Max => ("max", arg_ty.clone()),
-    }
-}
-
-fn grouped_agg(f: &AggFunc, arg_ty: &MalType) -> (&'static str, MalType) {
-    match f {
-        AggFunc::Sum => ("subsum", MalType::bat(arg_ty.clone())),
-        AggFunc::Count => ("subcount", MalType::bat(MalType::Int)),
-        AggFunc::Avg => ("subavg", MalType::bat(MalType::Dbl)),
-        AggFunc::Min => ("submin", MalType::bat(arg_ty.clone())),
-        AggFunc::Max => ("submax", MalType::bat(arg_ty.clone())),
     }
 }
