@@ -9,7 +9,7 @@
 
 use std::ops::Range;
 
-use stetho_mal::Value;
+use stetho_mal::{MalType, Value};
 
 use crate::bat::{Bat, ColumnData, ColumnView, StrView};
 use crate::error::EngineError;
@@ -378,19 +378,19 @@ pub fn scalar_arith(f: &str, args: &[RuntimeValue]) -> Result<Vec<RuntimeValue>>
 }
 
 /// `batcalc.{==,!=,<,<=,>,>=}` — vectorised comparison producing a
-/// `bat[:bit]`.
+/// `bat[:bit]`. Numbers compare with numbers, strings with strings and
+/// dates with dates; any other mix is a type mismatch.
 pub fn compare(f: &str, args: &[RuntimeValue]) -> Result<Vec<RuntimeValue>> {
     let op = format!("batcalc.{f}");
     let (main, cand) = split_cand(&op, args, 2)?;
 
-    // String comparison path.
-    let str_side = |v: &RuntimeValue| match v {
-        RuntimeValue::Bat(b) => matches!(b.view(), ColumnView::Str(_)),
-        RuntimeValue::Scalar(Value::Str(_)) => true,
-        _ => false,
-    };
-    if str_side(&main[0]) || str_side(&main[1]) {
-        return compare_str(f, &op, main, cand);
+    let kinds = [tail_kind(&main[0]), tail_kind(&main[1])];
+    if kinds.contains(&MalType::Str) {
+        // Borrow, never clone: strings compare through their dictionary.
+        return compare_sides(f, &op, "str", main, str_side, cand);
+    }
+    if kinds.contains(&MalType::Date) {
+        return compare_sides(f, &op, "date", main, date_side, cand);
     }
 
     let a = Num::from(&op, &main[0])?;
@@ -402,62 +402,85 @@ pub fn compare(f: &str, args: &[RuntimeValue]) -> Result<Vec<RuntimeValue>> {
     Ok(vec![RuntimeValue::bat(Bat::new(ColumnData::Bit(out)))])
 }
 
-fn compare_str(
+/// The type of a scalar, or of a BAT's values.
+fn tail_kind(v: &RuntimeValue) -> MalType {
+    match v {
+        RuntimeValue::Bat(b) => b.tail_type(),
+        RuntimeValue::Scalar(x) => x.mal_type(),
+    }
+}
+
+/// A non-numeric comparison operand: a column lane with its length, or a
+/// constant.
+#[derive(Clone, Copy)]
+enum Side<L, T> {
+    Col(L, usize),
+    Const(T),
+}
+
+fn str_side(v: &RuntimeValue) -> Option<Side<StrView<'_>, &str>> {
+    match v {
+        RuntimeValue::Bat(b) => match b.view() {
+            ColumnView::Str(s) => Some(Side::Col(s, s.len())),
+            _ => None,
+        },
+        RuntimeValue::Scalar(Value::Str(s)) => Some(Side::Const(s)),
+        RuntimeValue::Scalar(_) => None,
+    }
+}
+
+fn date_side(v: &RuntimeValue) -> Option<Side<&[i32], i32>> {
+    match v {
+        RuntimeValue::Bat(b) => match b.view() {
+            ColumnView::Date(d) => Some(Side::Col(d, d.len())),
+            _ => None,
+        },
+        RuntimeValue::Scalar(Value::Date(d)) => Some(Side::Const(*d)),
+        RuntimeValue::Scalar(_) => None,
+    }
+}
+
+/// The comparison `f` over two operands that `side` reads as the type
+/// named `expected`.
+fn compare_sides<'a, L: Lane<T>, T: Copy + PartialOrd>(
     f: &str,
     op: &str,
-    main: &[RuntimeValue],
+    expected: &str,
+    main: &'a [RuntimeValue],
+    side: impl Fn(&'a RuntimeValue) -> Option<Side<L, T>>,
     cand: Option<&Bat>,
 ) -> Result<Vec<RuntimeValue>> {
-    #[derive(Clone, Copy)]
-    enum S<'a> {
-        V(StrView<'a>),
-        C(&'a str),
-    }
-    macro_rules! str_lane {
+    macro_rules! side_lane {
         ($s:expr, $l:ident => $body:expr) => {
             match $s {
-                S::V(v) => {
+                Side::Col(v, _) => {
                     let $l = v;
                     $body
                 }
-                S::C(c) => {
+                Side::Const(c) => {
                     let $l = Const(c);
                     $body
                 }
             }
         };
     }
-    fn side<'a>(op: &str, v: &'a RuntimeValue) -> Result<S<'a>> {
-        match v {
-            RuntimeValue::Bat(b) => match b.view() {
-                ColumnView::Str(s) => Ok(S::V(s)),
-                other => Err(EngineError::TypeMismatch {
-                    op: op.into(),
-                    expected: "str".into(),
-                    got: other.tail_type().to_string(),
-                }),
-            },
-            RuntimeValue::Scalar(Value::Str(s)) => Ok(S::C(s)),
-            RuntimeValue::Scalar(other) => Err(EngineError::TypeMismatch {
-                op: op.into(),
-                expected: "str".into(),
-                got: other.mal_type().to_string(),
-            }),
-        }
-    }
-    let a = side(op, &main[0])?;
-    let b = side(op, &main[1])?;
+    let read = |v: &'a RuntimeValue| {
+        side(v).ok_or_else(|| EngineError::TypeMismatch {
+            op: op.into(),
+            expected: expected.into(),
+            got: tail_kind(v).to_string(),
+        })
+    };
+    let (a, b) = (read(&main[0])?, read(&main[1])?);
     let len = match (&a, &b) {
-        (S::V(x), S::V(y)) if x.len() == y.len() => x.len(),
-        (S::V(x), S::V(y)) => {
+        (Side::Col(_, x), Side::Col(_, y)) if x != y => {
             return Err(EngineError::LengthMismatch {
                 op: op.into(),
-                left: x.len(),
-                right: y.len(),
+                left: *x,
+                right: *y,
             })
         }
-        (S::V(x), _) => x.len(),
-        (_, S::V(y)) => y.len(),
+        (Side::Col(_, n), _) | (_, Side::Col(_, n)) => *n,
         _ => {
             return Err(EngineError::TypeMismatch {
                 op: op.into(),
@@ -466,9 +489,8 @@ fn compare_str(
             })
         }
     };
-    // Borrow, never clone: strings compare through their dictionary.
     let pos = positions(len, cand)?;
-    let out = compare_lanes!(f, str_lane, a, b, &pos);
+    let out = compare_lanes!(f, side_lane, a, b, &pos);
     Ok(vec![RuntimeValue::bat(Bat::new(ColumnData::Bit(out)))])
 }
 
@@ -664,6 +686,32 @@ mod tests {
         let a = rb(Bat::strs(vec!["a".into(), "c".into()]));
         let out = compare("<", &[a, RuntimeValue::Scalar(Value::Str("b".into()))]).unwrap();
         assert_eq!(bits(&out[0]), vec![true, false]);
+    }
+
+    #[test]
+    fn comparisons_dates() {
+        let d = |x| RuntimeValue::Scalar(Value::Date(x));
+        let a = rb(Bat::new(ColumnData::Date(vec![100, 200, 300])));
+        let out = compare(">", &[a.clone(), d(150)]).unwrap();
+        assert_eq!(bits(&out[0]), vec![false, true, true]);
+        let out = compare("<=", &[d(200), a.clone()]).unwrap();
+        assert_eq!(bits(&out[0]), vec![false, true, true]);
+        let b = rb(Bat::new(ColumnData::Date(vec![100, 250, 250])));
+        let out = compare("!=", &[a.clone(), b]).unwrap();
+        assert_eq!(bits(&out[0]), vec![false, true, true]);
+        let cand = rb(Bat::oids(vec![0, 2]));
+        let out = compare("==", &[a.clone(), d(300), cand]).unwrap();
+        assert_eq!(bits(&out[0]), vec![false, true]);
+        // Dates never compare with numbers or strings.
+        for other in [
+            ri(150),
+            rd(1.5),
+            RuntimeValue::Scalar(Value::Str("x".into())),
+        ] {
+            let err = compare("<", &[a.clone(), other]).unwrap_err();
+            assert!(matches!(err, EngineError::TypeMismatch { .. }), "{err:?}");
+        }
+        assert!(compare("<", &[d(1), d(2)]).is_err());
     }
 
     #[test]

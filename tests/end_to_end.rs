@@ -298,3 +298,66 @@ fn figure1_plan_is_paper_shaped() {
     );
     assert!(result.column("l_tax").is_some());
 }
+
+/// Date comparisons that lower to `batcalc` masks (under `or`, and in
+/// HAVING) return the rows a plain filter over the catalog selects, on
+/// the serial interpreter and on the dataflow scheduler.
+#[test]
+fn date_predicates_on_the_mask_path_run_in_every_mode() {
+    use stethoscope::mal::Value;
+    use stethoscope::sql::ast::date_to_days;
+
+    let cat = catalog();
+    let col = |name: &str| -> Vec<Value> {
+        let bat = cat.column("lineitem", name).unwrap();
+        (0..bat.len()).map(|i| bat.get(i).unwrap()).collect()
+    };
+    let (ship, qty, order) = (col("l_shipdate"), col("l_quantity"), col("l_orderkey"));
+    let day = |v: &Value| match v {
+        Value::Date(d) => *d,
+        other => panic!("not a date: {other:?}"),
+    };
+    let int = |v: &Value| match v {
+        Value::Int(x) => *x,
+        other => panic!("not an int: {other:?}"),
+    };
+    let cut = date_to_days("1995-06-17").unwrap();
+    let result_col = |r: &QueryResult, i: usize| -> Vec<Value> {
+        let bat = &r.columns[i].1;
+        (0..bat.len()).map(|j| bat.get(j).unwrap()).collect()
+    };
+
+    // WHERE: a date comparison inside a disjunction.
+    let where_sql = "select l_quantity from lineitem \
+                     where l_shipdate > date '1995-06-17' or l_quantity < 15";
+    let expected: Vec<Value> = (0..ship.len())
+        .filter(|&i| day(&ship[i]) > cut || int(&qty[i]) < 15)
+        .map(|i| qty[i].clone())
+        .collect();
+    assert!(!expected.is_empty() && expected.len() < ship.len());
+
+    // HAVING: a date aggregate against a string literal.
+    let having_sql = "select l_orderkey, max(l_shipdate) as last from lineitem \
+                      group by l_orderkey having max(l_shipdate) > '1995-06-17' \
+                      order by l_orderkey";
+    let mut last: std::collections::BTreeMap<i64, i32> = Default::default();
+    for (o, s) in order.iter().zip(&ship) {
+        let e = last.entry(int(o)).or_insert(i32::MIN);
+        *e = (*e).max(day(s));
+    }
+    let groups = last.len();
+    let kept: Vec<(i64, i32)> = last.into_iter().filter(|&(_, d)| d > cut).collect();
+    assert!(!kept.is_empty() && kept.len() < groups);
+
+    for (partitions, workers) in [(1, 1), (1, 4), (4, 1), (4, 4)] {
+        let mode = format!("{partitions} partitions, {workers} workers");
+        let (_, r, _) = run_query(&cat, where_sql, partitions, workers);
+        assert_eq!(result_col(&r, 0), expected, "WHERE, {mode}");
+
+        let (_, r, _) = run_query(&cat, having_sql, partitions, workers);
+        let keys: Vec<Value> = kept.iter().map(|&(o, _)| Value::Int(o)).collect();
+        let days: Vec<Value> = kept.iter().map(|&(_, d)| Value::Date(d)).collect();
+        assert_eq!(result_col(&r, 0), keys, "HAVING keys, {mode}");
+        assert_eq!(result_col(&r, 1), days, "HAVING dates, {mode}");
+    }
+}

@@ -49,10 +49,11 @@ const STR_COLS: [(&str, &str); 3] = [
 const GROUP_COLS: [&str; 3] = ["l_returnflag", "l_linestatus", "l_shipmode"];
 const CMP_OPS: [&str; 4] = ["<", "<=", ">", ">="];
 
-/// `allow_date` is false inside `or` combinations: disjunctions lower
-/// to `batcalc` comparisons, which are numeric/string only.
-fn predicate(rng: &mut Lcg, allow_date: bool) -> String {
-    match rng.pick(if allow_date { 5 } else { 4 }) {
+/// Any predicate may appear under `or`, the date comparison included:
+/// disjunctions lower to `batcalc` comparison masks, which compare
+/// numbers, strings and dates.
+fn predicate(rng: &mut Lcg) -> String {
+    match rng.pick(5) {
         0 => {
             let col = INT_COLS[rng.pick(INT_COLS.len())];
             let op = CMP_OPS[rng.pick(CMP_OPS.len())];
@@ -80,9 +81,9 @@ fn predicate(rng: &mut Lcg, allow_date: bool) -> String {
 
 fn where_clause(rng: &mut Lcg) -> String {
     match rng.pick(3) {
-        0 => predicate(rng, true),
-        1 => format!("{} and {}", predicate(rng, true), predicate(rng, true)),
-        _ => format!("{} or {}", predicate(rng, false), predicate(rng, false)),
+        0 => predicate(rng),
+        1 => format!("{} and {}", predicate(rng), predicate(rng)),
+        _ => format!("{} or {}", predicate(rng), predicate(rng)),
     }
 }
 
