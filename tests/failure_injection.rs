@@ -224,4 +224,87 @@ proptest! {
         dec.decode(source, &line, &mut items);
         dec.flush_all(&mut items);
     }
+
+    /// The SVG reader never panics on lines shaped like the ones
+    /// `write_svg` emits (the tags it matches on, `name="value"`
+    /// attributes) with mostly numeric, possibly non-ASCII, values.
+    #[test]
+    fn svg_parser_never_panics(
+        lines in proptest::collection::vec(
+            (0usize..7, proptest::collection::vec((0usize..10, "[0-90-90-9., é&;<>\"a-z-]{0,8}"), 0..5), "[ -~é]{0,12}"),
+            0..16,
+        ),
+    ) {
+        let tags = ["<svg", "<polyline", "<g class=\"node\"", "<rect", "<text", "</g>", ""];
+        let attrs = ["width", "height", "x", "y", "id", "data-from", "data-to", "points", "data-label", ">"];
+        let mut text = String::new();
+        for (tag, pairs, tail) in &lines {
+            text.push_str(tags[*tag]);
+            for (a, v) in pairs {
+                match attrs[*a] {
+                    ">" => text.push_str(&format!(">{v}</text>")),
+                    name => text.push_str(&format!(" {name}=\"{v}\"")),
+                }
+            }
+            text.push_str(tail);
+            text.push('\n');
+        }
+        let _ = stethoscope::layout::parse_svg(&text);
+    }
+
+    /// Snapshot JSON round-trips, and reading it never panics when it is
+    /// cut anywhere and has arbitrary text spliced in.
+    #[test]
+    fn snapshot_json_never_panics(
+        position in 0usize..100_000,
+        cx in -4000i64..4000,
+        note in "[ -~é\\\"]{0,20}",
+        cut in 0usize..1000,
+        junk in "[ -~\n]{0,20}",
+    ) {
+        use stethoscope::core::SessionSnapshot;
+        let snap = SessionSnapshot {
+            position,
+            camera_cx: cx as f64 / 4.0,
+            camera_cy: -(cx as f64),
+            camera_altitude: 1.5,
+            now_ms: position as u64 * 3,
+            trace_len: position + 1,
+            note,
+        };
+        let json = snap.to_json();
+        prop_assert_eq!(SessionSnapshot::from_json(&json).unwrap(), snap);
+        let mut at = cut % (json.len() + 1);
+        while !json.is_char_boundary(at) {
+            at -= 1;
+        }
+        let _ = SessionSnapshot::from_json(&json[..at]);
+        let _ = SessionSnapshot::from_json(&format!("{}{junk}{}", &json[..at], &json[at..]));
+    }
+
+    /// Packed datagrams: several `%frm` lines joined by newlines, each
+    /// with an arbitrary sequence number, kind and payload, go through
+    /// the full decoder without panicking.
+    #[test]
+    fn packed_datagram_fuzz_never_panics(
+        frames in proptest::collection::vec(("[0-9]{0,22}", 0usize..8, "[ -~]{0,40}"), 1..6),
+        split in 0usize..3,
+    ) {
+        let kinds = ["dot-begin", "dot", "dot-end", "ev", "eot", "hb", "", "bogus"];
+        let lines: Vec<String> = frames
+            .iter()
+            .map(|(seq, kind, payload)| format!("%frm {seq} {} {payload}", kinds[*kind]))
+            .collect();
+        let source: std::net::SocketAddr = "127.0.0.1:50003".parse().unwrap();
+        let mut dec = stethoscope::profiler::reassembly::StreamDecoder::new(4);
+        let mut items = Vec::new();
+        // The same frames as one datagram, or split in two at a line.
+        let at = split.min(lines.len());
+        for part in [&lines[..at], &lines[at..]] {
+            if !part.is_empty() {
+                dec.decode(source, &part.join("\n"), &mut items);
+            }
+        }
+        dec.flush_all(&mut items);
+    }
 }
