@@ -128,17 +128,6 @@ impl ReplayController {
         rc
     }
 
-    /// Load a trace that may have lost events in transit: dangling
-    /// `start`s are closed with synthesized `done`s (see
-    /// [`repair_lost_dones`]). Returns the controller and the number of
-    /// events synthesized.
-    pub fn new_lossy(mut events: Vec<TraceEvent>) -> (Self, usize) {
-        let synthesized = repair_lost_dones(&events);
-        let n = synthesized.len();
-        events.extend(synthesized);
-        (Self::new(events), n)
-    }
-
     /// All events.
     pub fn events(&self) -> &[TraceEvent] {
         &self.events
@@ -489,20 +478,6 @@ mod tests {
     fn repair_is_idempotent_on_complete_traces() {
         let v = trace(5);
         assert!(repair_lost_dones(&v).is_empty());
-    }
-
-    #[test]
-    fn new_lossy_converges_replay() {
-        let mut v = trace(3);
-        v.remove(5); // drop done for pc=2
-        v.remove(1); // drop done for pc=0
-        let (mut rc, synthesized) = ReplayController::new_lossy(v);
-        assert_eq!(synthesized, 2);
-        rc.seek(rc.len());
-        assert!(
-            rc.nodes().values().all(|n| !n.running()),
-            "every node settles"
-        );
     }
 
     #[test]

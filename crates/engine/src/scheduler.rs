@@ -11,7 +11,7 @@
 //! ## One ready queue
 //!
 //! Like MonetDB's dataflow `todo` queue, every worker draws from one
-//! shared [`Queue`] behind one mutex: the ready list, the pending-producer
+//! shared `Queue` behind one mutex: the ready list, the pending-producer
 //! counts, the number of instructions left and the first error. A worker
 //! reports the instruction it finished and takes its next one in the same
 //! critical section.

@@ -4,7 +4,7 @@
 
 use std::collections::HashMap;
 
-use stetho_mal::{Arg, MalType, Plan, PlanBuilder, Value};
+use stetho_mal::{Arg, Plan, PlanBuilder, Value};
 
 use super::Pass;
 use crate::error::SqlError;
@@ -92,10 +92,6 @@ fn eval_calc(function: &str, args: &[&Value]) -> Option<Value> {
         _ => None,
     }
 }
-
-// Unused import guard: MalType appears in signatures via plan.var types.
-#[allow(unused)]
-fn _type_witness(_: MalType) {}
 
 #[cfg(test)]
 mod tests {
