@@ -2,7 +2,7 @@
 //!
 //! These are TPC-H-derived queries restricted to the SQL subset the
 //! `stetho-sql` front end supports (no INTERVAL arithmetic — horizon
-//! dates are pre-computed; no HAVING).
+//! dates are pre-computed).
 
 /// The paper's Figure-1 example query (§2):
 /// `select l_tax from lineitem where l_partkey=1`.
