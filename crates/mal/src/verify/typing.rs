@@ -36,6 +36,10 @@ pub enum TypePat {
     /// Matches any type, binding (or checking) slot `k` to the full
     /// type. On the result side, emits `slot(k)`.
     Bind(u8),
+    /// Matches an int or dbl scalar or BAT and promotes slot `k` the way
+    /// `batcalc` arithmetic does: to dbl when this operand is dbl, to int
+    /// when the slot is still unbound.
+    Numeric(u8),
 }
 
 impl TypePat {
@@ -51,6 +55,17 @@ impl TypePat {
                 _ => false,
             },
             TypePat::Bind(k) => bind(slots, *k, ty),
+            TypePat::Numeric(k) => {
+                let tail = ty.tail();
+                if !matches!(tail, MalType::Int | MalType::Dbl) {
+                    return false;
+                }
+                let slot = &mut slots[*k as usize];
+                if slot.is_none() || *tail == MalType::Dbl {
+                    *slot = Some(tail.clone());
+                }
+                true
+            }
         }
     }
 
@@ -69,6 +84,7 @@ impl TypePat {
                 Some(t) => format!("{t}"),
                 None => "any type".into(),
             },
+            TypePat::Numeric(_) => "an int or dbl scalar or BAT".into(),
         }
     }
 }
@@ -97,7 +113,7 @@ pub struct TypeRule {
 
 /// Look up the rule for `module.function`.
 fn rule_for(module: &str, function: &str) -> Option<TypeRule> {
-    use TypePat::{Any, AnyBat, BatOf, Bind, Scalar};
+    use TypePat::{Any, AnyBat, BatOf, Bind, Numeric, Scalar};
     let exact = |t: MalType| TypePat::Exact(t);
     let bit = || exact(MalType::Bit);
     let int = || exact(MalType::Int);
@@ -138,20 +154,24 @@ fn rule_for(module: &str, function: &str) -> Option<TypeRule> {
         ("batcalc", "like") => r(vec![AnyBat, s()], None, vec![bat_bit()]),
         ("batcalc", "not" | "isnil") => r(vec![AnyBat], None, vec![bat_bit()]),
         ("batcalc", "dbl") => r(vec![AnyBat], None, vec![bat_dbl()]),
-        ("batcalc", "+" | "-" | "*" | "/") => r(vec![Any, Any], Some(Any), vec![AnyBat]),
+        // Int operands stay int; any dbl operand makes the tail dbl.
+        ("batcalc", "+" | "-" | "*" | "/") => {
+            r(vec![Numeric(0), Numeric(0)], Some(Any), vec![BatOf(0)])
+        }
         ("calc", "+" | "-" | "*" | "/") => r(vec![Scalar, Scalar], None, vec![Scalar]),
         ("calc", "identity") => r(vec![Bind(0)], None, vec![Bind(0)]),
         ("aggr", "sum" | "min" | "max") => r(vec![BatOf(0)], Some(Any), vec![Bind(0)]),
         ("aggr", "count") => r(vec![AnyBat], Some(Any), vec![int()]),
         ("aggr", "avg") => r(vec![AnyBat], Some(Any), vec![dbl()]),
+        // Grouped aggregates take (values, group ids, extents).
         ("aggr", "subsum" | "submin" | "submax") => {
-            r(vec![BatOf(0), AnyBat, AnyBat], None, vec![BatOf(0)])
+            r(vec![BatOf(0), bat_oid(), bat_oid()], None, vec![BatOf(0)])
         }
-        ("aggr", "subcount") => r(vec![AnyBat, AnyBat, AnyBat], None, vec![bat_int()]),
-        ("aggr", "subavg") => r(vec![AnyBat, AnyBat, AnyBat], None, vec![bat_dbl()]),
+        ("aggr", "subcount") => r(vec![AnyBat, bat_oid(), bat_oid()], None, vec![bat_int()]),
+        ("aggr", "subavg") => r(vec![AnyBat, bat_oid(), bat_oid()], None, vec![bat_dbl()]),
         ("group", "group") => r(vec![AnyBat], None, vec![bat_oid(), bat_oid(), bat_int()]),
         ("group", "subgroup") => r(
-            vec![AnyBat, AnyBat],
+            vec![AnyBat, bat_oid()],
             None,
             vec![bat_oid(), bat_oid(), bat_int()],
         ),

@@ -1,6 +1,8 @@
-//! One test per verifier diagnostic code (MC001–MC031): each builds the
-//! minimal malformed plan that triggers that code and asserts the report
-//! contains it — and, for error codes, nothing else at error severity.
+//! At least one test per verifier diagnostic code (MC001–MC031): each
+//! builds the minimal malformed plan that triggers that code and asserts
+//! the report contains it — and, for error codes, nothing else at error
+//! severity. Typed rules with a shape of their own (arithmetic tail
+//! promotion, oid group ids) get a case each.
 
 use stetho_mal::{Arg, Code, MalType, Plan, PlanBuilder, Value, VarId, VerifyReport};
 
@@ -156,6 +158,65 @@ fn mc014_result_type_mismatch() {
     b.push("io", "print", vec![], vec![Arg::Var(t)]);
     let report = verify(&b.finish());
     assert_eq!(error_codes(&report), vec![Code::ResultTypeMismatch]);
+}
+
+#[test]
+fn mc013_grouping_ids_must_be_oids() {
+    // group.subgroup refines oid group ids, and a grouped aggregate
+    // reads oid group ids and extents; an int BAT in either slot is a
+    // type error.
+    let mut b = PlanBuilder::new("user.bad");
+    let col = b.call("bat", "new", MalType::bat(MalType::Int), vec![]);
+    let (g, e, h) = (
+        b.new_var(MalType::bat(MalType::Oid)),
+        b.new_var(MalType::bat(MalType::Oid)),
+        b.new_var(MalType::bat(MalType::Int)),
+    );
+    b.push(
+        "group",
+        "subgroup",
+        vec![g, e, h],
+        vec![Arg::Var(col), Arg::Var(col)],
+    );
+    let s = b.call(
+        "aggr",
+        "subsum",
+        MalType::bat(MalType::Int),
+        vec![Arg::Var(col), Arg::Var(g), Arg::Var(h)],
+    );
+    b.push("io", "print", vec![], vec![Arg::Var(s), Arg::Var(e)]);
+    let plan = b.finish();
+    let report = verify(&plan);
+    assert_eq!(error_codes(&report), vec![Code::ArgTypeMismatch]);
+    let pcs: Vec<Option<usize>> = report.errors().map(|d| d.pc).collect();
+    assert_eq!(pcs, vec![Some(1), Some(2)], "{}", report.render(&plan));
+}
+
+#[test]
+fn mc014_arith_tail_follows_promotion() {
+    // batcalc arithmetic stays int over ints; one dbl side makes it dbl.
+    let mut b = PlanBuilder::new("user.bad");
+    let ints = b.call("bat", "new", MalType::bat(MalType::Int), vec![]);
+    let dbls = b.call("bat", "new", MalType::bat(MalType::Dbl), vec![]);
+    let ok = b.call(
+        "batcalc",
+        "/",
+        MalType::bat(MalType::Dbl),
+        vec![Arg::Var(dbls), Arg::Var(ints)],
+    );
+    let bad = b.call(
+        "batcalc",
+        "*",
+        MalType::bat(MalType::Int),
+        vec![Arg::Lit(Value::Dbl(2.0)), Arg::Var(ints)],
+    );
+    b.push("io", "print", vec![], vec![Arg::Var(ok), Arg::Var(bad)]);
+    let plan = b.finish();
+    let report = verify(&plan);
+    assert_eq!(error_codes(&report), vec![Code::ResultTypeMismatch]);
+    let d = report.with_code(Code::ResultTypeMismatch).next().unwrap();
+    assert_eq!(d.pc, Some(3));
+    assert!(d.message.contains("expected bat[:dbl]"), "{}", d.message);
 }
 
 #[test]

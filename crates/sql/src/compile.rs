@@ -5,7 +5,7 @@ use stetho_mal::Plan;
 
 use crate::algebra;
 use crate::codegen;
-use crate::opt::{PassInfo, Pipeline};
+use crate::opt::{mitosis, PassInfo, Pipeline};
 use crate::parser;
 use crate::Result;
 
@@ -67,7 +67,8 @@ pub fn compile_with(catalog: &Catalog, sql: &str, opts: &CompileOptions) -> Resu
     let (plan, passes) = if opts.skip_optimizers {
         (unoptimized.clone(), Vec::new())
     } else {
-        Pipeline::default_pipeline(opts.partitions).run(&unoptimized)?
+        let table_rows = mitosis::scanned_rows(catalog, &unoptimized);
+        Pipeline::default_pipeline(opts.partitions, table_rows).run(&unoptimized)?
     };
     Ok(CompiledQuery {
         plan,

@@ -15,25 +15,72 @@
 //!    property that concatenating per-chunk outputs in chunk order equals
 //!    the unpartitioned output;
 //! 4. at the region boundary insert `mat.pack(v_0, ..., v_{k-1})`, except
-//!    for plain `aggr.sum`/`aggr.count` consumers, which become
-//!    per-chunk partial aggregates combined with `calc.+` (partial
-//!    aggregation pushdown).
+//!    where an aggregate can be computed per chunk and its partials
+//!    combined (partial aggregation pushdown, one rule for both forms):
+//!    * a plain `aggr.sum`/`aggr.count` becomes per-chunk partials folded
+//!      with `calc.+`;
+//!    * a `group.group` → `group.subgroup` chain whose groups and extents
+//!      feed only `aggr.sub{sum,count,avg,min,max}` and projections of
+//!      its keys (MonetDB's mergetable rewrite) runs per chunk. Each
+//!      chunk projects its keys at its extents and computes one partial
+//!      per aggregate (avg as sum and count); only these small partials
+//!      are packed, regrouped on the packed keys and re-aggregated: sum
+//!      of sums, sum of counts, min of mins, max of maxes, and avg as
+//!      `batcalc./` of the merged sum over the merged count. Group ids
+//!      are dense in order of first occurrence, and a group's first row
+//!      lies in the earliest chunk that holds it, so the merged groups
+//!      come out in the unpartitioned order.
+//!
+//! Each instruction costs a fixed amount to schedule, trace and draw, so
+//! the grouped rewrite, which adds per-chunk instructions, applies only
+//! when a chunk holds at least [`GROUPED_MIN_ROWS`] rows of the scanned
+//! table; below that, group chains keep the pack path.
 //!
 //! The result is exactly the wide, Figure-2-style graph shape the paper
 //! shows for complex queries.
 
 use std::collections::HashMap;
 
+use stetho_engine::Catalog;
 use stetho_mal::{Arg, Instruction, MalType, Plan, PlanBuilder, Value, VarId};
 
 use super::Pass;
 use crate::error::SqlError;
 use crate::Result;
 
+/// Rows of the scanned table per partition from which group chains run
+/// per partition. Below it the added per-partition instructions cost
+/// more than the full-width pack, group and aggregate work they save
+/// (the crossover is measured in DESIGN.md §13).
+pub const GROUPED_MIN_ROWS: usize = 14_000;
+
 /// The mitosis pass.
 pub struct Mitosis {
     /// Number of partitions to split into (≥ 2 to have any effect).
     pub partitions: usize,
+    /// Rows of the table under the plan's first `sql.tid` (see
+    /// [`scanned_rows`]); group chains run per partition only when
+    /// `table_rows / partitions` reaches [`GROUPED_MIN_ROWS`].
+    pub table_rows: usize,
+}
+
+/// The first `sql.tid` of `plan`: the scan mitosis partitions.
+fn first_tid(plan: &Plan) -> Option<&Instruction> {
+    plan.instructions
+        .iter()
+        .find(|i| i.module == "sql" && i.function == "tid")
+}
+
+/// Catalog row count of the table under `plan`'s first `sql.tid`, the
+/// input [`Mitosis::table_rows`] expects; 0 without a scan or when the
+/// table is unknown.
+pub fn scanned_rows(catalog: &Catalog, plan: &Plan) -> usize {
+    first_tid(plan)
+        .and_then(|ins| match ins.args.get(2) {
+            Some(Arg::Lit(Value::Str(table))) => catalog.table(table).ok(),
+            _ => None,
+        })
+        .map_or(0, |t| t.rows())
 }
 
 impl Pass for Mitosis {
@@ -47,11 +94,7 @@ impl Pass for Mitosis {
             return Ok(plan.clone());
         }
         // Locate the first sql.tid; without one there is nothing to split.
-        let tid_pc = match plan
-            .instructions
-            .iter()
-            .find(|i| i.module == "sql" && i.function == "tid")
-        {
+        let tid_pc = match first_tid(plan) {
             Some(i) => i.pc,
             None => return Ok(plan.clone()),
         };
@@ -73,6 +116,30 @@ impl Pass for Mitosis {
         if !in_region.iter().any(|&x| x) {
             return Ok(plan.clone());
         }
+        let chains = if self.table_rows / k >= GROUPED_MIN_ROWS {
+            group_chains(plan, &region_vars)
+        } else {
+            Vec::new()
+        };
+        // A chain's steps join the region: each partition groups its own
+        // rows. Its consumers are rewritten after its last step.
+        let mut roles: HashMap<usize, Role> = HashMap::new();
+        for (c, chain) in chains.iter().enumerate() {
+            for &pc in &chain.steps {
+                in_region[pc] = true;
+                for r in &plan.instructions[pc].results {
+                    region_vars[r.0] = true;
+                }
+            }
+            roles.insert(
+                *chain.steps.last().expect("a chain has a step"),
+                Role::Last(c),
+            );
+            for &pc in &chain.consumers {
+                roles.insert(pc, Role::Consumer(c));
+            }
+        }
+        let mut merged: Vec<Option<Merged>> = chains.iter().map(|_| None).collect();
 
         // Rebuild.
         let mut b = PlanBuilder::new(plan.name.clone());
@@ -155,6 +222,18 @@ impl Pass for Mitosis {
                 for (slot, r) in ins.results.iter().enumerate() {
                     pmap.insert(r.0, per_result[slot].clone());
                 }
+                if let Some(&Role::Last(c)) = roles.get(&ins.pc) {
+                    merged[c] = Some(merge_chain(&mut b, plan, &chains[c], &pmap));
+                }
+                continue;
+            }
+
+            if let Some(&Role::Consumer(c)) = roles.get(&ins.pc) {
+                let m = merged[c]
+                    .as_mut()
+                    .expect("a chain merges before its consumers");
+                let out = emit_consumer(&mut b, plan, ins, m, &pmap);
+                omap.insert(ins.results[0].0, Arg::Var(out));
                 continue;
             }
 
@@ -263,6 +342,299 @@ fn partitionable(ins: &Instruction, region: &[bool]) -> bool {
     }
 }
 
+/// What the rebuild does at a pc that belongs to a group chain.
+enum Role {
+    /// The chain's last grouping step: regroup after cloning it.
+    Last(usize),
+    /// An aggregate or key projection over the chain's final grouping.
+    Consumer(usize),
+}
+
+/// A `group.group` → `group.subgroup` chain over region keys that can
+/// run per partition: its intermediate groups feed only the next step,
+/// no histogram and no intermediate extents are read, and its final
+/// groups and extents feed only grouped aggregates and projections of
+/// its own keys.
+struct Chain {
+    /// Pcs of the grouping steps, `group.group` first.
+    steps: Vec<usize>,
+    /// The key column of each step.
+    keys: Vec<VarId>,
+    /// Pcs of the instructions reading the final groups or extents.
+    consumers: Vec<usize>,
+}
+
+/// Find every group chain the grouped rewrite applies to.
+fn group_chains(plan: &Plan, region: &[bool]) -> Vec<Chain> {
+    let mut uses: Vec<Vec<usize>> = vec![Vec::new(); plan.var_count()];
+    for ins in &plan.instructions {
+        for v in ins.arg_vars() {
+            if uses[v.0].last() != Some(&ins.pc) {
+                uses[v.0].push(ins.pc);
+            }
+        }
+    }
+    let region_var = |a: &Arg| match a {
+        Arg::Var(v) if region[v.0] => Some(*v),
+        _ => None,
+    };
+    let mut chains = Vec::new();
+    'heads: for head in &plan.instructions {
+        if head.module != "group" || head.function != "group" || head.results.len() != 3 {
+            continue;
+        }
+        let Some(key) = head.args.first().and_then(region_var) else {
+            continue;
+        };
+        let mut chain = Chain {
+            steps: vec![head.pc],
+            keys: vec![key],
+            consumers: Vec::new(),
+        };
+        let mut step = head;
+        let (groups, extents) = loop {
+            let (g, e, h) = (step.results[0], step.results[1], step.results[2]);
+            if !uses[h.0].is_empty() {
+                continue 'heads;
+            }
+            let next = match uses[g.0][..] {
+                [pc] if uses[e.0].is_empty() => &plan.instructions[pc],
+                _ => break (g, e),
+            };
+            let key = next.args.first().and_then(region_var);
+            match key {
+                Some(key)
+                    if next.module == "group"
+                        && next.function == "subgroup"
+                        && next.args.len() == 2
+                        && next.args[1] == Arg::Var(g)
+                        && next.results.len() == 3 =>
+                {
+                    chain.steps.push(next.pc);
+                    chain.keys.push(key);
+                    step = next;
+                }
+                _ => break (g, e),
+            }
+        };
+        let mut consumers: Vec<usize> = uses[groups.0]
+            .iter()
+            .chain(&uses[extents.0])
+            .copied()
+            .collect();
+        consumers.sort_unstable();
+        consumers.dedup();
+        for &pc in &consumers {
+            let ins = &plan.instructions[pc];
+            let fits = match (ins.module.as_str(), ins.function.as_str()) {
+                ("algebra", "projection") => {
+                    ins.args.len() == 2
+                        && ins.args[0] == Arg::Var(extents)
+                        && region_var(&ins.args[1]).is_some_and(|k| chain.keys.contains(&k))
+                }
+                ("aggr", "subsum" | "subavg" | "submin" | "submax" | "subcount") => {
+                    ins.args.len() == 3
+                        && ins.results.len() == 1
+                        && ins.args[1] == Arg::Var(groups)
+                        && ins.args[2] == Arg::Var(extents)
+                        && (region_var(&ins.args[0]).is_some()
+                            || (ins.function == "subcount" && ins.args[0] == Arg::Var(groups)))
+                }
+                _ => false,
+            };
+            if !fits {
+                continue 'heads;
+            }
+        }
+        chain.consumers = consumers;
+        chains.push(chain);
+    }
+    chains
+}
+
+/// A chain's partials brought back together: the per-partition grouping,
+/// the grouping of the packed partial keys, and each key packed.
+struct Merged {
+    /// Group ids per partition.
+    part_groups: Vec<VarId>,
+    /// Extents per partition.
+    part_extents: Vec<VarId>,
+    /// Group ids of the packed partials under the merged grouping.
+    groups: VarId,
+    /// Extents of the merged grouping, as positions in the packed partials.
+    extents: VarId,
+    /// Old key var → the key projected at each partition's extents, packed.
+    keys: HashMap<usize, VarId>,
+    /// The merged per-group row count, shared by every count and avg.
+    count: Option<VarId>,
+}
+
+impl Merged {
+    /// The merged row count per group, emitted on first use.
+    fn count(&mut self, b: &mut PlanBuilder) -> VarId {
+        if let Some(c) = self.count {
+            return c;
+        }
+        let ty = MalType::bat(MalType::Int);
+        let c = partial_aggregate(b, "count", &self.part_groups, &ty, Some(&*self));
+        self.count = Some(c);
+        c
+    }
+}
+
+/// After a chain's last step has been cloned per partition: project
+/// every key at each partition's extents, pack the partial keys and
+/// regroup them with the same `group.group` → `group.subgroup` chain.
+fn merge_chain(
+    b: &mut PlanBuilder,
+    plan: &Plan,
+    chain: &Chain,
+    pmap: &HashMap<usize, Vec<VarId>>,
+) -> Merged {
+    let last = &plan.instructions[*chain.steps.last().expect("a chain has a step")];
+    let part_extents = pmap[&last.results[1].0].clone();
+    let mut keys: HashMap<usize, VarId> = HashMap::new();
+    let mut merged: Option<(VarId, VarId)> = None;
+    for &key in &chain.keys {
+        let ty = plan.var(key).ty.clone();
+        let packed = *keys.entry(key.0).or_insert_with(|| {
+            let parts = part_extents
+                .iter()
+                .zip(&pmap[&key.0])
+                .map(|(e, k)| {
+                    Arg::Var(b.call(
+                        "algebra",
+                        "projection",
+                        ty.clone(),
+                        vec![Arg::Var(*e), Arg::Var(*k)],
+                    ))
+                })
+                .collect();
+            b.call("mat", "pack", ty.clone(), parts)
+        });
+        let results = vec![
+            b.new_var(MalType::bat(MalType::Oid)),
+            b.new_var(MalType::bat(MalType::Oid)),
+            b.new_var(MalType::bat(MalType::Int)),
+        ];
+        let mut args = vec![Arg::Var(packed)];
+        args.extend(merged.map(|(prev, _)| Arg::Var(prev)));
+        let function = if merged.is_none() {
+            "group"
+        } else {
+            "subgroup"
+        };
+        merged = Some((results[0], results[1]));
+        b.push("group", function, results, args);
+    }
+    let (groups, extents) = merged.expect("a chain has a key");
+    Merged {
+        part_groups: pmap[&last.results[0].0].clone(),
+        part_extents,
+        groups,
+        extents,
+        keys,
+        count: None,
+    }
+}
+
+/// Rewrite one consumer of a merged chain; returns its new result.
+fn emit_consumer(
+    b: &mut PlanBuilder,
+    plan: &Plan,
+    ins: &Instruction,
+    m: &mut Merged,
+    pmap: &HashMap<usize, Vec<VarId>>,
+) -> VarId {
+    let var = |a: &Arg| match a {
+        Arg::Var(v) => *v,
+        Arg::Lit(_) => unreachable!("group chain consumers read vars"),
+    };
+    let out_ty = plan.var(ins.results[0]).ty.clone();
+    let vals = var(&ins.args[0]);
+    match ins.function.as_str() {
+        // A key at the group extents: the packed partial key at the
+        // merged extents.
+        "projection" => {
+            let key = m.keys[&var(&ins.args[1]).0];
+            b.call(
+                "algebra",
+                "projection",
+                out_ty,
+                vec![Arg::Var(m.extents), Arg::Var(key)],
+            )
+        }
+        "subcount" => m.count(b),
+        "subavg" => {
+            let tail = plan.var(vals).ty.tail().clone();
+            let sum_ty = MalType::bat(tail.clone());
+            let sum = partial_aggregate(b, "sum", &pmap[&vals.0], &sum_ty, Some(m));
+            let sum = if tail == MalType::Dbl {
+                sum
+            } else {
+                b.call("batcalc", "dbl", out_ty.clone(), vec![Arg::Var(sum)])
+            };
+            let count = m.count(b);
+            b.call("batcalc", "/", out_ty, vec![Arg::Var(sum), Arg::Var(count)])
+        }
+        sub => {
+            let func = sub.strip_prefix("sub").expect("a grouped aggregate");
+            partial_aggregate(b, func, &pmap[&vals.0], &out_ty, Some(m))
+        }
+    }
+}
+
+/// Partial aggregation, the one rule behind both pushdowns: `aggr.<func>`
+/// runs once per partition over `parts`, then the partials combine —
+/// count partials by summing, the others with their own function. `ty`
+/// types both the partials and the result.
+///
+/// Without a grouping the partials are scalars folded with `calc.+` (only
+/// `sum` and `count` come here). Over a merged chain each partial is
+/// `aggr.sub<func>` over that partition's groups; the partials are packed
+/// and re-aggregated over the merged groups.
+fn partial_aggregate(
+    b: &mut PlanBuilder,
+    func: &str,
+    parts: &[VarId],
+    ty: &MalType,
+    by: Option<&Merged>,
+) -> VarId {
+    let combine = if func == "count" { "sum" } else { func };
+    let Some(m) = by else {
+        debug_assert_eq!(combine, "sum", "scalar partials fold with calc.+");
+        let partials: Vec<VarId> = parts
+            .iter()
+            .map(|p| b.call("aggr", func, ty.clone(), vec![Arg::Var(*p)]))
+            .collect();
+        let mut acc = partials[0];
+        for p in &partials[1..] {
+            acc = b.call("calc", "+", ty.clone(), vec![Arg::Var(acc), Arg::Var(*p)]);
+        }
+        return acc;
+    };
+    let sub = format!("sub{func}");
+    let partials: Vec<Arg> = parts
+        .iter()
+        .zip(m.part_groups.iter().zip(&m.part_extents))
+        .map(|(p, (g, e))| {
+            Arg::Var(b.call(
+                "aggr",
+                &sub,
+                ty.clone(),
+                vec![Arg::Var(*p), Arg::Var(*g), Arg::Var(*e)],
+            ))
+        })
+        .collect();
+    let packed = b.call("mat", "pack", ty.clone(), partials);
+    b.call(
+        "aggr",
+        &format!("sub{combine}"),
+        ty.clone(),
+        vec![Arg::Var(packed), Arg::Var(m.groups), Arg::Var(m.extents)],
+    )
+}
+
 /// Rewrite `aggr.sum`/`aggr.count` over a region var into per-partition
 /// partials combined with `calc.+`. Returns the combined scalar var.
 fn try_partial_agg(
@@ -283,33 +655,18 @@ fn try_partial_agg(
         _ => return None,
     };
     let parts = pmap.get(&v.0)?;
-    let out_ty = plan.var(ins.results[0]).ty.clone();
     let partial_ty = if ins.function == "count" {
         MalType::Int
     } else {
-        out_ty.clone()
+        plan.var(ins.results[0]).ty.clone()
     };
-    let partials: Vec<VarId> = parts
-        .iter()
-        .map(|p| {
-            b.call(
-                "aggr",
-                ins.function.as_str(),
-                partial_ty.clone(),
-                vec![Arg::Var(*p)],
-            )
-        })
-        .collect();
-    let mut acc = partials[0];
-    for p in &partials[1..] {
-        acc = b.call(
-            "calc",
-            "+",
-            partial_ty.clone(),
-            vec![Arg::Var(acc), Arg::Var(*p)],
-        );
-    }
-    Some(acc)
+    Some(partial_aggregate(
+        b,
+        &ins.function,
+        parts,
+        &partial_ty,
+        None,
+    ))
 }
 
 #[cfg(test)]
@@ -334,7 +691,12 @@ sql.resultSet("l_tax", X_5);
 
     #[test]
     fn clones_region_per_partition() {
-        let out = Mitosis { partitions: 4 }.run(&figure1()).unwrap();
+        let out = Mitosis {
+            partitions: 4,
+            table_rows: 0,
+        }
+        .run(&figure1())
+        .unwrap();
         let selects = out
             .instructions
             .iter()
@@ -364,14 +726,24 @@ sql.resultSet("l_tax", X_5);
     #[test]
     fn partitions_one_is_identity() {
         let plan = figure1();
-        let out = Mitosis { partitions: 1 }.run(&plan).unwrap();
+        let out = Mitosis {
+            partitions: 1,
+            table_rows: 0,
+        }
+        .run(&plan)
+        .unwrap();
         assert_eq!(out.len(), plan.len());
     }
 
     #[test]
     fn no_tid_is_identity() {
         let plan = parse_plan("X_0:int := sql.mvc();\nio.print(X_0);\n").unwrap();
-        let out = Mitosis { partitions: 4 }.run(&plan).unwrap();
+        let out = Mitosis {
+            partitions: 4,
+            table_rows: 0,
+        }
+        .run(&plan)
+        .unwrap();
         assert_eq!(out.len(), plan.len());
     }
 
@@ -388,7 +760,12 @@ sql.resultSet("s", X_4);
 "#,
         )
         .unwrap();
-        let out = Mitosis { partitions: 3 }.run(&plan).unwrap();
+        let out = Mitosis {
+            partitions: 3,
+            table_rows: 0,
+        }
+        .run(&plan)
+        .unwrap();
         let sums = out
             .instructions
             .iter()
@@ -421,7 +798,12 @@ sql.resultSet("g", X_4);
 "#,
         )
         .unwrap();
-        let out = Mitosis { partitions: 2 }.run(&plan).unwrap();
+        let out = Mitosis {
+            partitions: 2,
+            table_rows: 0,
+        }
+        .run(&plan)
+        .unwrap();
         assert_eq!(
             out.instructions
                 .iter()
@@ -453,12 +835,137 @@ sql.resultSet("s", X_5);
 "#,
         )
         .unwrap();
-        let out = Mitosis { partitions: 2 }.run(&plan).unwrap();
+        let out = Mitosis {
+            partitions: 2,
+            table_rows: 0,
+        }
+        .run(&plan)
+        .unwrap();
         let muls = out
             .instructions
             .iter()
             .filter(|i| i.qualified_name() == "batcalc.*")
             .count();
         assert_eq!(muls, 2);
+    }
+
+    /// A table large enough for the grouped rewrite at `k` partitions.
+    fn above_gate(k: usize) -> Mitosis {
+        Mitosis {
+            partitions: k,
+            table_rows: GROUPED_MIN_ROWS * k,
+        }
+    }
+
+    fn count_ops(plan: &Plan, name: &str) -> usize {
+        plan.instructions
+            .iter()
+            .filter(|i| i.qualified_name() == name)
+            .count()
+    }
+
+    /// `mat.pack`s with an operand that is not a partial: neither a
+    /// grouped aggregate nor a key projected at a grouping's extents.
+    fn full_width_packs(plan: &Plan) -> usize {
+        let def = |v: VarId| &plan.instructions[plan.var(v).def.expect("defined")];
+        let partial = |v: VarId| {
+            let ins = def(v);
+            (ins.module == "aggr" && ins.function.starts_with("sub"))
+                || (ins.qualified_name() == "algebra.projection"
+                    && matches!(ins.args[0], Arg::Var(e) if def(e).module == "group"))
+        };
+        plan.instructions
+            .iter()
+            .filter(|i| i.qualified_name() == "mat.pack")
+            .filter(|i| !i.arg_vars().all(partial))
+            .count()
+    }
+
+    const GROUPED: &str = r#"
+X_0:int := sql.mvc();
+X_1:bat[:oid] := sql.tid(X_0, "sys", "t");
+X_2:bat[:str] := sql.bind(X_0, "sys", "t", "k", 0:int);
+X_3:bat[:str] := algebra.projection(X_1, X_2);
+X_4:bat[:date] := sql.bind(X_0, "sys", "t", "d", 0:int);
+X_5:bat[:date] := algebra.projection(X_1, X_4);
+X_6:bat[:int] := sql.bind(X_0, "sys", "t", "q", 0:int);
+X_7:bat[:int] := algebra.projection(X_1, X_6);
+(X_8:bat[:oid], X_9:bat[:oid], X_10:bat[:int]) := group.group(X_3);
+(X_11:bat[:oid], X_12:bat[:oid], X_13:bat[:int]) := group.subgroup(X_5, X_8);
+X_14:bat[:str] := algebra.projection(X_12, X_3);
+X_15:bat[:int] := aggr.subsum(X_7, X_11, X_12);
+X_16:bat[:dbl] := aggr.subavg(X_7, X_11, X_12);
+X_17:bat[:int] := aggr.subcount(X_11, X_11, X_12);
+X_18:bat[:date] := aggr.submax(X_5, X_11, X_12);
+sql.resultSet("k", X_14, "s", X_15, "a", X_16, "n", X_17, "m", X_18);
+"#;
+
+    #[test]
+    fn grouped_chain_runs_per_partition_above_the_gate() {
+        let out = above_gate(3).run(&parse_plan(GROUPED).unwrap()).unwrap();
+        assert!(out.verify().is_clean(), "{}", out.verify().render(&out));
+        // Three per-partition chains, then one regroup of the partials.
+        assert_eq!(count_ops(&out, "group.group"), 4);
+        assert_eq!(count_ops(&out, "group.subgroup"), 4);
+        assert_eq!(full_width_packs(&out), 0, "{}", out.listing());
+        // avg is a sum over a count: one count chain serves avg and
+        // count, and the int sum is cast before the division.
+        assert_eq!(count_ops(&out, "aggr.subavg"), 0);
+        assert_eq!(count_ops(&out, "aggr.subcount"), 3);
+        assert_eq!(count_ops(&out, "batcalc.dbl"), 1);
+        assert_eq!(count_ops(&out, "batcalc./"), 1);
+        assert_eq!(count_ops(&out, "aggr.submax"), 4);
+    }
+
+    #[test]
+    fn grouping_below_the_gate_keeps_the_pack_path() {
+        let plan = parse_plan(GROUPED).unwrap();
+        let below = Mitosis {
+            partitions: 3,
+            table_rows: GROUPED_MIN_ROWS * 3 - 1,
+        };
+        let out = below.run(&plan).unwrap();
+        assert_eq!(count_ops(&out, "group.group"), 1);
+        assert_eq!(full_width_packs(&out), 3, "the three key and value columns");
+    }
+
+    #[test]
+    fn other_readers_of_a_grouping_keep_the_pack_path() {
+        // The histogram is read, so the chain cannot run per partition.
+        let plan = parse_plan(
+            r#"
+X_0:int := sql.mvc();
+X_1:bat[:oid] := sql.tid(X_0, "sys", "t");
+X_2:bat[:str] := sql.bind(X_0, "sys", "t", "k", 0:int);
+X_3:bat[:str] := algebra.projection(X_1, X_2);
+(X_4:bat[:oid], X_5:bat[:oid], X_6:bat[:int]) := group.group(X_3);
+X_7:bat[:str] := algebra.projection(X_5, X_3);
+sql.resultSet("k", X_7, "n", X_6);
+"#,
+        )
+        .unwrap();
+        let out = above_gate(2).run(&plan).unwrap();
+        assert_eq!(count_ops(&out, "group.group"), 1);
+        assert_eq!(full_width_packs(&out), 1);
+    }
+
+    #[test]
+    fn rewritten_q1_packs_only_partials() {
+        let q1 = include_str!("../../../../tests/fixtures/plans/q1_p1.mal");
+        let plan = parse_plan(q1).unwrap();
+        assert!(
+            full_width_packs(
+                &Mitosis {
+                    partitions: 8,
+                    table_rows: 0
+                }
+                .run(&plan)
+                .unwrap()
+            ) > 0
+        );
+        let out = above_gate(8).run(&plan).unwrap();
+        assert!(out.verify().is_clean(), "{}", out.verify().render(&out));
+        assert_eq!(full_width_packs(&out), 0, "{}", out.listing());
+        assert_eq!(count_ops(&out, "group.group"), 9);
     }
 }

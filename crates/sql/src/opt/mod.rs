@@ -8,7 +8,8 @@
 //! * [`deadcode`] — drop instructions whose results are never used;
 //! * [`mitosis`] — range-partition the scan pipeline over N partitions,
 //!   cloning the dependent operator chain per partition and packing the
-//!   partitions back with `mat.pack`. This is what turns a Figure-1 plan
+//!   partitions back with `mat.pack` (or, for aggregates, combining
+//!   per-partition partials). This is what turns a Figure-1 plan
 //!   into a Figure-2 scale graph and what the engine's dataflow
 //!   scheduler parallelises across cores.
 
@@ -51,15 +52,21 @@ impl Pipeline {
         Pipeline { passes }
     }
 
-    /// The default pipeline. `partitions > 1` enables mitosis.
-    pub fn default_pipeline(partitions: usize) -> Self {
+    /// The default pipeline. `partitions > 1` enables mitosis;
+    /// `table_rows` is the row count of the table under the plan's first
+    /// `sql.tid` ([`mitosis::scanned_rows`]), which gates mitosis's
+    /// per-partition grouping.
+    pub fn default_pipeline(partitions: usize, table_rows: usize) -> Self {
         let mut passes: Vec<Box<dyn Pass>> = vec![
             Box::new(constfold::ConstFold),
             Box::new(cse::Cse),
             Box::new(deadcode::DeadCode),
         ];
         if partitions > 1 {
-            passes.push(Box::new(mitosis::Mitosis { partitions }));
+            passes.push(Box::new(mitosis::Mitosis {
+                partitions,
+                table_rows,
+            }));
             // Mitosis clones shared sub-chains; clean up after it.
             passes.push(Box::new(cse::Cse));
             passes.push(Box::new(deadcode::DeadCode));
@@ -126,7 +133,7 @@ mod tests {
         let plan =
             parse_plan("X_0:int := calc.+(1:int, 2:int);\nX_1:int := sql.mvc();\nio.print(X_1);\n")
                 .unwrap();
-        let (out, log) = Pipeline::default_pipeline(1).run(&plan).unwrap();
+        let (out, log) = Pipeline::default_pipeline(1, 0).run(&plan).unwrap();
         assert_eq!(log.len(), 3);
         // calc.+ folded then dead-coded away.
         assert!(out.len() < plan.len());

@@ -13,7 +13,8 @@ use std::sync::{Arc, OnceLock};
 use proptest::prelude::*;
 use stetho_engine::{Bat, Catalog, TableDef};
 use stetho_mal::{MalType, Plan};
-use stetho_sql::opt::{constfold::ConstFold, cse::Cse, deadcode::DeadCode, mitosis::Mitosis, Pass};
+use stetho_sql::opt::mitosis::{Mitosis, GROUPED_MIN_ROWS};
+use stetho_sql::opt::{constfold::ConstFold, cse::Cse, deadcode::DeadCode, Pass};
 use stetho_sql::{compile_with, CompileOptions};
 
 fn catalog() -> &'static Arc<Catalog> {
@@ -204,7 +205,11 @@ proptest! {
         let plan = ConstFold.run(&plan).unwrap();
         let plan = Cse.run(&plan).unwrap();
         let plan = DeadCode.run(&plan).unwrap();
-        assert_pass_preserves_clean(&Mitosis { partitions: parts }, &plan, &sql);
+        // Below the grouped rewrite's gate (this catalog's 6 rows) and
+        // with it forced through the pass's row count.
+        for table_rows in [0, GROUPED_MIN_ROWS * parts] {
+            assert_pass_preserves_clean(&Mitosis { partitions: parts, table_rows }, &plan, &sql);
+        }
     }
 
     #[test]

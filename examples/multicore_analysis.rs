@@ -16,6 +16,7 @@ use stethoscope::core::analysis::{
 };
 use stethoscope::engine::{ExecOptions, Interpreter, ProfilerConfig, VecSink};
 use stethoscope::profiler::TraceEvent;
+use stethoscope::sql::opt::mitosis::{scanned_rows, GROUPED_MIN_ROWS};
 use stethoscope::sql::{compile_with, CompileOptions};
 use stethoscope::tpch::{generate_catalog, queries, TpchConfig};
 
@@ -46,6 +47,21 @@ fn main() {
         .expect("Q1 compiles");
     stethoscope::verify_plan("q1-mitosis-8", &q.plan);
     println!("Q1 mitosis plan: {} instructions", q.plan.len());
+    // Mitosis groups per partition and packs only the partials once a
+    // partition holds GROUPED_MIN_ROWS rows; below that it packs full
+    // columns and groups them in one serial tail.
+    let per_partition = scanned_rows(&catalog, &q.unoptimized) / 8;
+    let grouped = q
+        .plan
+        .instructions
+        .iter()
+        .filter(|i| i.qualified_name() == "group.group")
+        .count()
+        > 1;
+    println!(
+        "grouped rewrite: {} ({per_partition} rows per partition, gate {GROUPED_MIN_ROWS})",
+        if grouped { "fired" } else { "not fired" }
+    );
 
     // ---- D7: serial vs parallel execution of the same plan ----------
     let t0 = std::time::Instant::now();

@@ -10,6 +10,13 @@
 //!   the dataflow scheduler with 2, 4 and 8 workers. Results must be
 //!   byte-identical, trace events the same multiset, and failures of the
 //!   same kind.
+//! * Mitosis: generated grouped, DISTINCT and HAVING queries run
+//!   partitioned k = 1..=8 ways, with mitosis's per-partition grouping
+//!   forced through the pass's row count, and unpartitioned. Rows come
+//!   out in the same order; int, str, oid and date cells are identical
+//!   and dbl cells agree within [`DBL_REL_BOUND`], as merging partial
+//!   sums reorders the additions. The dataflow scheduler runs each
+//!   partitioned plan bit for bit like the serial interpreter.
 
 use std::fmt::Write as _;
 use std::mem::discriminant;
@@ -22,6 +29,8 @@ use stethoscope::engine::{
 };
 use stethoscope::mal::{Plan, Value};
 use stethoscope::profiler::EventStatus;
+use stethoscope::sql::opt::mitosis::GROUPED_MIN_ROWS;
+use stethoscope::sql::opt::Pipeline;
 use stethoscope::sql::{compile, compile_with, CompileOptions};
 use stethoscope::tpch::{generate_catalog, TpchConfig};
 
@@ -261,4 +270,171 @@ fn serial_matches_dataflow_on_256_generated_queries() {
             }
         }
     }
+}
+
+/// Relative bound on a dbl cell of a partitioned plan against the
+/// unpartitioned one: `|a - b| <= DBL_REL_BOUND * max(|a|, |b|)`. Partial
+/// sums add the same values in another order; the worst case seen on Q1
+/// at SF 0.05 over 8 partitions is 1.1e-12 (`avg_disc`).
+const DBL_REL_BOUND: f64 = 1e-9;
+
+/// Grouping keys of the mitosis oracle: few groups (flags) and many
+/// (dates, part keys), so groups recur across partitions and most
+/// partitions also open groups of their own.
+const KEY_COLS: [&str; 5] = [
+    "l_returnflag",
+    "l_linestatus",
+    "l_linenumber",
+    "l_shipdate",
+    "l_suppkey",
+];
+/// Columns for `min`/`max`: int, dbl, str and date.
+const ORD_COLS: [&str; 5] = [
+    "l_quantity",
+    "l_extendedprice",
+    "l_shipmode",
+    "l_shipdate",
+    "l_tax",
+];
+const NUM_COLS: [&str; 5] = [
+    "l_quantity",
+    "l_partkey",
+    "l_extendedprice",
+    "l_discount",
+    "l_tax",
+];
+
+/// One grouped, DISTINCT or HAVING query; half carry no ORDER BY, so the
+/// groups' first-occurrence order is itself compared.
+fn gen_grouped_query(rng: &mut Lcg) -> String {
+    let pred = match rng.pick(3) {
+        0 => String::new(),
+        _ => format!(" where {}", where_clause(rng)),
+    };
+    let mut keys = vec![KEY_COLS[rng.pick(KEY_COLS.len())]];
+    if rng.pick(2) == 0 {
+        let second = KEY_COLS[rng.pick(KEY_COLS.len())];
+        if second != keys[0] {
+            keys.push(second);
+        }
+    }
+    let keys = keys.join(", ");
+    let order = if rng.pick(2) == 0 {
+        format!(" order by {keys}")
+    } else {
+        String::new()
+    };
+    let num = |rng: &mut Lcg| NUM_COLS[rng.pick(NUM_COLS.len())];
+    let ord = |rng: &mut Lcg| ORD_COLS[rng.pick(ORD_COLS.len())];
+    match rng.pick(3) {
+        0 => format!(
+            "select {keys}, count(*) as n, sum({}) as s, avg({}) as a, min({}) as lo, \
+             max({}) as hi from lineitem{pred} group by {keys}{order}",
+            num(rng),
+            num(rng),
+            ord(rng),
+            ord(rng)
+        ),
+        1 => format!("select distinct {keys} from lineitem{pred}{order}"),
+        _ => format!(
+            "select {keys}, sum({}) as s, avg({}) as a from lineitem{pred} \
+             group by {keys} having count(*) > {}{order}",
+            num(rng),
+            num(rng),
+            rng.pick(4)
+        ),
+    }
+}
+
+/// Every cell of `got` against `want`: dbl within [`DBL_REL_BOUND`],
+/// anything else identical, in the same row order.
+fn assert_matches_unpartitioned(want: &QueryResult, got: &QueryResult, what: &str) {
+    let names = |r: &QueryResult| r.columns.iter().map(|(n, _)| n.clone()).collect::<Vec<_>>();
+    assert_eq!(names(want), names(got), "{what}: columns");
+    for ((name, w), (_, g)) in want.columns.iter().zip(&got.columns) {
+        assert_eq!(w.len(), g.len(), "{what}: rows of {name}");
+        for i in 0..w.len() {
+            match (w.get(i), g.get(i)) {
+                (Some(Value::Dbl(a)), Some(Value::Dbl(b))) => assert!(
+                    (a - b).abs() <= DBL_REL_BOUND * a.abs().max(b.abs()),
+                    "{what}: {name}[{i}] {a} vs {b}"
+                ),
+                (a, b) => assert_eq!(a, b, "{what}: {name}[{i}]"),
+            }
+        }
+    }
+}
+
+#[test]
+fn mitosis_matches_unpartitioned_plan_on_generated_grouped_queries() {
+    let catalog = Arc::new(generate_catalog(&TpchConfig::sf(0.0005)));
+    let interp = Interpreter::new(Arc::clone(&catalog));
+    let mut rng = Lcg(0x0006_0f1e_2012);
+    let mut rewritten = 0;
+
+    for case in 0..64 {
+        let sql = gen_grouped_query(&mut rng);
+        let want = interp
+            .execute(
+                &compile_case(&catalog, case, &sql, 1),
+                &ExecOptions::default(),
+            )
+            .unwrap_or_else(|e| panic!("case {case}: unpartitioned plan failed: {e}\nsql: {sql}"))
+            .result
+            .expect("result set");
+        let unoptimized = compile_with(
+            &catalog,
+            &sql,
+            &CompileOptions {
+                skip_optimizers: true,
+                ..CompileOptions::default()
+            },
+        )
+        .unwrap_or_else(|e| panic!("case {case} failed to compile: {sql}: {e}"))
+        .unoptimized;
+        for k in 1..=8 {
+            // The small catalog sits below the gate; force the rewrite.
+            let (plan, _) = Pipeline::default_pipeline(k, GROUPED_MIN_ROWS * k)
+                .run(&unoptimized)
+                .unwrap_or_else(|e| panic!("case {case} at {k} partitions: {e}\nsql: {sql}"));
+            let groups = plan
+                .instructions
+                .iter()
+                .filter(|i| i.qualified_name() == "group.group")
+                .count();
+            if k > 1 && groups > 1 {
+                rewritten += 1;
+            }
+            let got = interp
+                .execute(&plan, &ExecOptions::default())
+                .unwrap_or_else(|e| panic!("case {case} at {k} partitions: {e}\nsql: {sql}"))
+                .result
+                .expect("result set");
+            assert_matches_unpartitioned(&want, &got, &format!("case {case}, k={k}, sql: {sql}"));
+            // The summation order is fixed by the plan, so the scheduler
+            // reproduces the serial bits; one k per case keeps this cheap.
+            if k == 2 + case % 7 {
+                let (serial, serial_events) = run(&interp, &plan, 0);
+                for workers in [2, 4, 8] {
+                    let (fp, events) = run(&interp, &plan, workers);
+                    assert_eq!(
+                        serial.as_ref().ok(),
+                        fp.as_ref().ok(),
+                        "case {case}, k={k}: results diverge with {workers} workers\nsql: {sql}"
+                    );
+                    assert_eq!(
+                        serial_events, events,
+                        "case {case}, k={k}, {workers} workers"
+                    );
+                }
+            }
+        }
+    }
+    // Every case groups over region columns, so each partitioned plan
+    // takes the rewrite.
+    assert_eq!(
+        rewritten,
+        64 * 7,
+        "partitioned plans that grouped per partition"
+    );
 }
