@@ -3,7 +3,11 @@
 //! measured wall-to-wall, with the EDT pacing on and off.
 //!
 //! Every mean is upserted into the `BENCH_engine.json` ledger at the
-//! repository root, with the host's CPU count in its context.
+//! repository root, with the host's CPU count in its context. The
+//! `online/query/*` rows also carry what one session sent: datagrams
+//! and events received, and the plan's instruction count.
+
+use std::sync::Mutex;
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use stetho_bench::catalog;
@@ -75,12 +79,24 @@ const QUERY_ROWS: [QueryRow; 3] = [
     },
 ];
 
+/// Per `online/query/*` row: what its timed sessions received, summed.
+#[derive(Default)]
+struct Traffic {
+    sessions: u64,
+    datagrams: u64,
+    events: u64,
+    instructions: usize,
+}
+
+static TRAFFIC: Mutex<Vec<(&str, Traffic)>> = Mutex::new(Vec::new());
+
 fn bench_online_queries(c: &mut Criterion) {
     let cat = catalog(0.002);
     let mut group = c.benchmark_group("online/query");
     group.sample_size(10);
     for r in &QUERY_ROWS {
         group.bench_with_input(BenchmarkId::from_parameter(r.row), r, |b, r| {
+            let mut traffic = Traffic::default();
             b.iter(|| {
                 let cfg = OnlineConfig {
                     pacing_ms: 0,
@@ -91,31 +107,63 @@ fn bench_online_queries(c: &mut Criterion) {
                 let out = OnlineSession::run(std::sync::Arc::clone(&cat), r.sql, &cfg).unwrap();
                 std::fs::remove_file(&cfg.dot_path).ok();
                 std::fs::remove_file(&cfg.trace_path).ok();
+                traffic.sessions += 1;
+                traffic.datagrams += out.transport.datagrams;
+                traffic.events += out.events.len() as u64;
+                traffic.instructions = out.plan.len();
                 out.result_rows
-            })
+            });
+            TRAFFIC
+                .lock()
+                .expect("traffic tally poisoned")
+                .push((r.row, traffic));
         });
     }
     group.finish();
 }
 
+/// The traffic fields of row `row`: per-session means over every
+/// session it ran, warm-up included.
+fn traffic_fields(row: &str) -> Vec<(String, serde_json::Value)> {
+    let tally = TRAFFIC.lock().expect("traffic tally poisoned");
+    let Some((_, t)) = tally.iter().find(|(r, _)| *r == row) else {
+        return Vec::new();
+    };
+    let per_session = |n: u64| num(n as f64 / t.sessions.max(1) as f64);
+    vec![
+        (
+            "datagrams_per_session".to_string(),
+            per_session(t.datagrams),
+        ),
+        ("events_per_session".to_string(), per_session(t.events)),
+        ("instructions".to_string(), int(t.instructions as i64)),
+    ]
+}
+
 /// Map one criterion report path to its ledger descriptor fields.
 fn describe(name: &str) -> Option<Vec<(String, serde_json::Value)>> {
-    let (query, pacing, partitions, workers) = match name.split('/').collect::<Vec<_>>()[..] {
-        ["online", "end_to_end", "pacing_ms", pacing] => ("Q6", pacing.parse().ok()?, 2, 2),
+    let (query, pacing, partitions, workers, traffic) = match name.split('/').collect::<Vec<_>>()[..]
+    {
+        ["online", "end_to_end", "pacing_ms", pacing] => {
+            ("Q6", pacing.parse().ok()?, 2, 2, Vec::new())
+        }
         ["online", "query", row] => {
             let r = QUERY_ROWS.iter().find(|r| r.row == row)?;
-            (r.query, 0, r.partitions as i64, r.workers as i64)
+            let traffic = traffic_fields(row);
+            (r.query, 0, r.partitions as i64, r.workers as i64, traffic)
         }
         _ => return None,
     };
-    Some(vec![
+    let mut fields = vec![
         ("bench".to_string(), text("online_session")),
         ("query".to_string(), text(query)),
         ("sf".to_string(), num(0.002)),
         ("pacing_ms".to_string(), int(pacing)),
         ("partitions".to_string(), int(partitions)),
         ("workers".to_string(), int(workers)),
-    ])
+    ];
+    fields.extend(traffic);
+    Some(fields)
 }
 
 criterion_group! {

@@ -12,7 +12,8 @@
 //! * the real criterion CLI's time knobs are honoured —
 //!   `--warm-up-time <s>`, `--measurement-time <s>` and `--quick` (CI
 //!   smoke runs pass these; unknown flags such as cargo's `--bench` are
-//!   ignored);
+//!   ignored), and so is its positional filter: only benchmarks whose
+//!   full path contains it run;
 //! * every reported mean is also pushed to an in-process registry,
 //!   [`take_reports`], so a bench target can persist its own numbers
 //!   (the workspace's `BENCH_engine.json` ledger) without re-measuring.
@@ -164,22 +165,35 @@ pub struct Criterion {
     sample_size: usize,
     warm_up: Duration,
     measurement: Duration,
+    /// Run only benchmarks whose full path contains this.
+    filter: Option<String>,
 }
 
 impl Default for Criterion {
     /// Baseline knobs (one warm-up call, 2 ms samples — the historical
-    /// behaviour of this stand-in), then any criterion CLI time flags
-    /// from the command line: `--warm-up-time <s>`,
-    /// `--measurement-time <s>`, `--quick`. Unrecognised arguments (for
+    /// behaviour of this stand-in), then the criterion CLI arguments on
+    /// the command line: see [`Criterion::from_args`].
+    fn default() -> Self {
+        Criterion::from_args(std::env::args().skip(1))
+    }
+}
+
+impl Criterion {
+    /// Baseline knobs, then the criterion CLI arguments in `args` (the
+    /// program name excluded): the time flags `--warm-up-time <s>`,
+    /// `--measurement-time <s>`, `--sample-size <n>` and `--quick`, and
+    /// a positional filter that selects the benchmarks whose full path
+    /// (`group/function/parameter`) contains it. Unrecognised flags (for
     /// example the `--bench` cargo appends) are ignored, like the real
     /// crate's lenient CLI.
-    fn default() -> Self {
+    fn from_args(args: impl IntoIterator<Item = String>) -> Self {
         let mut c = Criterion {
             sample_size: 10,
             warm_up: Duration::ZERO,
             measurement: Duration::from_millis(20),
+            filter: None,
         };
-        let args: Vec<String> = std::env::args().collect();
+        let args: Vec<String> = args.into_iter().collect();
         let mut i = 0;
         let secs = |s: &String| s.parse::<f64>().ok().filter(|x| *x >= 0.0);
         while i < args.len() {
@@ -207,15 +221,16 @@ impl Default for Criterion {
                         i += 1;
                     }
                 }
+                positional if !positional.starts_with('-') && c.filter.is_none() => {
+                    c.filter = Some(positional.to_string());
+                }
                 _ => {}
             }
             i += 1;
         }
         c
     }
-}
 
-impl Criterion {
     /// Set the number of timed samples per benchmark.
     pub fn sample_size(mut self, n: usize) -> Self {
         self.sample_size = n.max(1);
@@ -234,6 +249,11 @@ impl Criterion {
         self
     }
 
+    /// Whether the benchmark at `path` passes the filter.
+    fn selects(&self, path: &str) -> bool {
+        self.filter.as_deref().is_none_or(|f| path.contains(f))
+    }
+
     fn bencher(&self, samples: usize) -> Bencher {
         Bencher {
             samples,
@@ -245,6 +265,9 @@ impl Criterion {
 
     /// Run one standalone benchmark.
     pub fn bench_function<F: FnMut(&mut Bencher)>(&mut self, name: &str, mut f: F) -> &mut Self {
+        if !self.selects(name) {
+            return self;
+        }
         let mut b = self.bencher(self.sample_size);
         f(&mut b);
         report(name, b.mean_ns, None);
@@ -290,9 +313,13 @@ impl BenchmarkGroup<'_> {
         id: impl Display,
         mut f: F,
     ) -> &mut Self {
+        let path = format!("{}/{id}", self.name);
+        if !self.criterion.selects(&path) {
+            return self;
+        }
         let mut b = self.criterion.bencher(self.sample_size);
         f(&mut b);
-        report(&format!("{}/{id}", self.name), b.mean_ns, self.throughput);
+        report(&path, b.mean_ns, self.throughput);
         self
     }
 
@@ -303,9 +330,13 @@ impl BenchmarkGroup<'_> {
         input: &I,
         mut f: F,
     ) -> &mut Self {
+        let path = format!("{}/{id}", self.name);
+        if !self.criterion.selects(&path) {
+            return self;
+        }
         let mut b = self.criterion.bencher(self.sample_size);
         f(&mut b, input);
-        report(&format!("{}/{id}", self.name), b.mean_ns, self.throughput);
+        report(&path, b.mean_ns, self.throughput);
         self
     }
 
@@ -364,8 +395,45 @@ mod tests {
     }
 
     #[test]
+    fn positional_filter_selects_by_path() {
+        let args = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let mut c = Criterion::from_args(args(&[
+            "--bench",
+            "--measurement-time",
+            "0.002",
+            "compat/filtered/keep",
+        ]))
+        .sample_size(2);
+        let mut ran = Vec::new();
+        c.bench_function("compat/filtered/skip", |b| {
+            ran.push("skip");
+            b.iter(|| black_box(1))
+        });
+        let mut g = c.benchmark_group("compat/filtered");
+        g.bench_function("keep", |b| {
+            ran.push("keep");
+            b.iter(|| black_box(2))
+        });
+        g.bench_with_input(BenchmarkId::new("keep", 2), &2, |b, &n| {
+            ran.push("keep/2");
+            b.iter(|| black_box(n))
+        });
+        g.bench_with_input(BenchmarkId::from_parameter("drop"), &3, |b, &n| {
+            ran.push("drop");
+            b.iter(|| black_box(n))
+        });
+        g.finish();
+        assert_eq!(ran, ["keep", "keep/2"]);
+        assert_eq!(c.measurement, Duration::from_millis(2));
+        // Without a positional argument everything runs.
+        assert!(Criterion::from_args(args(&["--bench", "--quick"]))
+            .filter
+            .is_none());
+    }
+
+    #[test]
     fn reports_are_registered() {
-        let mut c = Criterion::default()
+        let mut c = Criterion::from_args(Vec::new())
             .sample_size(2)
             .measurement_time(Duration::from_millis(4));
         c.bench_function("compat/registered", |b| b.iter(|| black_box(2 + 2)));

@@ -302,7 +302,18 @@ impl OnlineSession {
             },
         )
         .map_err(|e| SessionError::new(format!("compile: {e}")))?;
-        let plan = compiled.plan;
+        Self::watch(catalog, compiled.plan, cfg, started)
+    }
+
+    /// The workflow after compilation: stream `plan`'s dot and trace
+    /// from a query thread and monitor them, with `started` as the
+    /// session's start.
+    pub(crate) fn watch(
+        catalog: Arc<Catalog>,
+        plan: Plan,
+        cfg: &OnlineConfig,
+        started: Instant,
+    ) -> Result<OnlineOutcome, SessionError> {
         // Surface the static-verifier diagnostics for the session. The
         // pipeline already guarantees cleanliness in debug builds; here
         // the report rides along so tools can show the lint findings.
@@ -525,12 +536,27 @@ mod tests {
             pacing_ms: 0,
             ..Default::default()
         };
-        let out = OnlineSession::run(
-            catalog_sized(200_000),
+        let catalog = catalog_sized(200_000);
+        let compiled = compile_with(
+            &catalog,
             "select l_tax from lineitem where l_partkey = 3",
-            &cfg,
+            &CompileOptions::with_partitions(cfg.partitions),
         )
         .unwrap();
+        // Four independent sleeps beside the query: a worker that sleeps
+        // leaves its CPU to the others, so the trace certainly shows more
+        // than one worker, however busy the host is.
+        let mut plan = compiled.plan;
+        for _ in 0..4 {
+            plan.instructions.push(stetho_mal::Instruction {
+                pc: plan.len(),
+                module: "alarm".into(),
+                function: "sleep".into(),
+                results: Vec::new(),
+                args: vec![stetho_mal::Arg::Lit(stetho_mal::Value::Int(25))],
+            });
+        }
+        let out = OnlineSession::watch(catalog, plan, &cfg, Instant::now()).unwrap();
         assert_eq!(out.result_rows, 20_000);
         // The mitosis plan is wide; all its instructions traced.
         assert!(out.plan.len() > 20);

@@ -18,6 +18,7 @@
 //! subsequently created nodes/edges, matching GraphViz semantics closely
 //! enough for round-tripping plan files.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 use crate::graph::{Graph, GraphError};
@@ -27,64 +28,87 @@ pub fn parse_dot(text: &str) -> Result<Graph, GraphError> {
     Parser::new(text).parse()
 }
 
+/// An attribute list as written, before it is merged into a map.
+type Attrs<'a> = Vec<(Cow<'a, str>, Cow<'a, str>)>;
+
+/// Scans the text's bytes. Every token boundary is an ASCII byte, so
+/// identifiers and strings without escapes are borrowed from the text;
+/// only the graph's own maps get owned copies.
 struct Parser<'a> {
-    chars: Vec<char>,
-    pos: usize,
     src: &'a str,
+    bytes: &'a [u8],
+    /// Byte offset, always on a char boundary between tokens.
+    pos: usize,
 }
 
 impl<'a> Parser<'a> {
     fn new(src: &'a str) -> Self {
         Parser {
-            chars: src.chars().collect(),
-            pos: 0,
             src,
+            bytes: src.as_bytes(),
+            pos: 0,
         }
     }
 
     fn err(&self, msg: impl Into<String>) -> GraphError {
+        // Report the offset in chars: count the bytes that start one.
+        let at = self.bytes[..self.pos]
+            .iter()
+            .filter(|&&b| b & 0xC0 != 0x80)
+            .count();
         GraphError::Parse {
-            at: self.pos,
+            at,
             msg: msg.into(),
         }
     }
 
     fn skip_ws(&mut self) {
         loop {
-            while self.pos < self.chars.len() && self.chars[self.pos].is_whitespace() {
-                self.pos += 1;
+            while let Some(&b) = self.bytes.get(self.pos) {
+                if b.is_ascii() {
+                    if !char::from(b).is_whitespace() {
+                        break;
+                    }
+                    self.pos += 1;
+                } else {
+                    match self.src[self.pos..].chars().next() {
+                        Some(c) if c.is_whitespace() => self.pos += c.len_utf8(),
+                        _ => break,
+                    }
+                }
             }
             // // and # line comments, /* */ block comments.
-            if self.peek() == Some('/') && self.peek_at(1) == Some('/') || self.peek() == Some('#')
+            if self.peek() == Some(b'/') && self.peek_at(1) == Some(b'/')
+                || self.peek() == Some(b'#')
             {
-                while self.pos < self.chars.len() && self.chars[self.pos] != '\n' {
+                while self.pos < self.bytes.len() && self.bytes[self.pos] != b'\n' {
                     self.pos += 1;
                 }
                 continue;
             }
-            if self.peek() == Some('/') && self.peek_at(1) == Some('*') {
+            if self.peek() == Some(b'/') && self.peek_at(1) == Some(b'*') {
                 self.pos += 2;
-                while self.pos + 1 < self.chars.len()
-                    && !(self.chars[self.pos] == '*' && self.chars[self.pos + 1] == '/')
+                while self.pos + 1 < self.bytes.len()
+                    && !(self.bytes[self.pos] == b'*' && self.bytes[self.pos + 1] == b'/')
                 {
                     self.pos += 1;
                 }
-                self.pos = (self.pos + 2).min(self.chars.len());
+                self.pos = (self.pos + 2).min(self.bytes.len());
                 continue;
             }
             break;
         }
     }
 
-    fn peek(&self) -> Option<char> {
-        self.chars.get(self.pos).copied()
+    fn peek(&self) -> Option<u8> {
+        self.bytes.get(self.pos).copied()
     }
 
-    fn peek_at(&self, off: usize) -> Option<char> {
-        self.chars.get(self.pos + off).copied()
+    fn peek_at(&self, off: usize) -> Option<u8> {
+        self.bytes.get(self.pos + off).copied()
     }
 
-    fn eat(&mut self, c: char) -> bool {
+    fn eat(&mut self, c: u8) -> bool {
         if self.peek() == Some(c) {
             self.pos += 1;
             true
@@ -93,50 +117,59 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn expect(&mut self, c: char) -> Result<(), GraphError> {
+    fn expect(&mut self, c: u8) -> Result<(), GraphError> {
         if self.eat(c) {
             Ok(())
         } else {
-            Err(self.err(format!("expected '{c}'")))
+            Err(self.err(format!("expected '{}'", char::from(c))))
         }
     }
 
     /// An id: bare word, number, or quoted string.
-    fn parse_id(&mut self) -> Result<String, GraphError> {
+    fn parse_id(&mut self) -> Result<Cow<'a, str>, GraphError> {
         self.skip_ws();
         match self.peek() {
-            Some('"') => {
+            Some(b'"') => {
                 self.pos += 1;
-                let mut s = String::new();
+                let mut owned: Option<String> = None;
                 loop {
-                    match self.peek() {
-                        Some('\\') => {
-                            self.pos += 1;
-                            match self.peek() {
-                                Some('n') => s.push('\n'),
-                                Some(c) => s.push(c),
-                                None => return Err(self.err("unterminated escape")),
+                    let Some(i) = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                    else {
+                        self.pos = self.bytes.len();
+                        return Err(self.err("unterminated string"));
+                    };
+                    let run = &self.src[self.pos..self.pos + i];
+                    self.pos += i;
+                    if self.bytes[self.pos] == b'"' {
+                        self.pos += 1;
+                        return Ok(match owned {
+                            Some(mut s) => {
+                                s.push_str(run);
+                                Cow::Owned(s)
                             }
-                            self.pos += 1;
-                        }
-                        Some('"') => {
-                            self.pos += 1;
-                            return Ok(s);
-                        }
-                        Some(c) => {
-                            s.push(c);
-                            self.pos += 1;
-                        }
-                        None => return Err(self.err("unterminated string")),
+                            None => Cow::Borrowed(run),
+                        });
                     }
+                    // A backslash: `\n` is a newline, any other char
+                    // stands for itself.
+                    let s = owned.get_or_insert_with(String::new);
+                    s.push_str(run);
+                    self.pos += 1;
+                    let Some(c) = self.src[self.pos..].chars().next() else {
+                        return Err(self.err("unterminated escape"));
+                    };
+                    s.push(if c == 'n' { '\n' } else { c });
+                    self.pos += c.len_utf8();
                 }
             }
-            Some(c) if c.is_ascii_alphanumeric() || c == '_' || c == '.' || c == '-' => {
+            Some(c) if c.is_ascii_alphanumeric() || c == b'_' || c == b'.' || c == b'-' => {
                 let start = self.pos;
                 while let Some(c) = self.peek() {
-                    if c.is_ascii_alphanumeric() || c == '_' || c == '.' || c == '-' {
+                    if c.is_ascii_alphanumeric() || c == b'_' || c == b'.' || c == b'-' {
                         // Stop a bare id before `->`.
-                        if c == '-' && self.peek_at(1) == Some('>') {
+                        if c == b'-' && self.peek_at(1) == Some(b'>') {
                             break;
                         }
                         self.pos += 1;
@@ -147,29 +180,30 @@ impl<'a> Parser<'a> {
                 if self.pos == start {
                     return Err(self.err("expected identifier"));
                 }
-                Ok(self.chars[start..self.pos].iter().collect())
+                Ok(Cow::Borrowed(&self.src[start..self.pos]))
             }
             _ => Err(self.err("expected identifier or string")),
         }
     }
 
-    fn parse_attr_list(&mut self) -> Result<HashMap<String, String>, GraphError> {
-        let mut attrs = HashMap::new();
+    /// Zero or more `[...]` lists, their pairs in order.
+    fn parse_attr_list(&mut self) -> Result<Attrs<'a>, GraphError> {
+        let mut attrs = Vec::new();
         self.skip_ws();
-        while self.eat('[') {
+        while self.eat(b'[') {
             loop {
                 self.skip_ws();
-                if self.eat(']') {
+                if self.eat(b']') {
                     break;
                 }
                 let key = self.parse_id()?;
                 self.skip_ws();
-                self.expect('=')?;
+                self.expect(b'=')?;
                 let val = self.parse_id()?;
-                attrs.insert(key, val);
+                attrs.push((key, val));
                 self.skip_ws();
                 // Separators are optional.
-                let _ = self.eat(',') || self.eat(';');
+                let _ = self.eat(b',') || self.eat(b';');
             }
             self.skip_ws();
         }
@@ -187,131 +221,76 @@ impl<'a> Parser<'a> {
             return Err(self.err("expected 'digraph' or 'graph'"));
         }
         self.skip_ws();
-        let name = if self.peek() != Some('{') {
+        let name = if self.peek() != Some(b'{') {
             self.parse_id()?
         } else {
-            String::new()
+            Cow::Borrowed("")
         };
         let mut graph = Graph::new(name);
         self.skip_ws();
-        self.expect('{')?;
-
-        let mut node_defaults: HashMap<String, String> = HashMap::new();
-        let mut edge_defaults: HashMap<String, String> = HashMap::new();
-
-        loop {
-            self.skip_ws();
-            match self.peek() {
-                Some('}') => {
-                    self.pos += 1;
-                    break;
-                }
-                None => return Err(self.err("unterminated graph body")),
-                _ => {}
-            }
-            if self.eat(';') {
-                continue;
-            }
-            // Subgraph blocks: parse recursively into the same graph,
-            // ignoring the grouping (plan dumps use them only for ranks).
-            let save = self.pos;
-            if let Ok(id) = self.parse_id() {
-                match id.as_str() {
-                    "subgraph" => {
-                        // optional name then block
-                        self.skip_ws();
-                        if self.peek() != Some('{') {
-                            let _ = self.parse_id();
-                            self.skip_ws();
-                        }
-                        self.expect('{')?;
-                        self.parse_body(&mut graph, &mut node_defaults, &mut edge_defaults)?;
-                        continue;
-                    }
-                    "graph" => {
-                        let attrs = self.parse_attr_list()?;
-                        graph.attrs.extend(attrs);
-                        continue;
-                    }
-                    "node" => {
-                        node_defaults.extend(self.parse_attr_list()?);
-                        continue;
-                    }
-                    "edge" => {
-                        edge_defaults.extend(self.parse_attr_list()?);
-                        continue;
-                    }
-                    _ => {
-                        self.pos = save;
-                    }
-                }
-            } else {
-                self.pos = save;
-            }
-            self.parse_node_or_edge(&mut graph, &node_defaults, &edge_defaults)?;
-        }
-        Ok(graph)
+        self.expect(b'{')?;
+        let mut defaults = Defaults::default();
+        self.parse_body(&mut graph, &mut defaults, true)
+            .map(|()| graph)
     }
 
-    /// Parse statements until `}` — used for subgraph bodies.
+    /// Parse statements until `}`. Only the top-level body may open
+    /// `subgraph` blocks; their statements go into the same graph (plan
+    /// dumps use them only for ranks).
     fn parse_body(
         &mut self,
         graph: &mut Graph,
-        node_defaults: &mut HashMap<String, String>,
-        edge_defaults: &mut HashMap<String, String>,
+        defaults: &mut Defaults,
+        top: bool,
     ) -> Result<(), GraphError> {
         loop {
             self.skip_ws();
             match self.peek() {
-                Some('}') => {
+                Some(b'}') => {
                     self.pos += 1;
                     return Ok(());
                 }
+                None if top => return Err(self.err("unterminated graph body")),
                 None => return Err(self.err("unterminated subgraph body")),
                 _ => {}
             }
-            if self.eat(';') {
+            if self.eat(b';') {
                 continue;
             }
-            let save = self.pos;
-            if let Ok(id) = self.parse_id() {
-                match id.as_str() {
-                    "graph" => {
-                        graph.attrs.extend(self.parse_attr_list()?);
-                        continue;
+            let id = self.parse_id()?;
+            match &*id {
+                "subgraph" if top => {
+                    // optional name then block
+                    self.skip_ws();
+                    if self.peek() != Some(b'{') {
+                        let _ = self.parse_id();
+                        self.skip_ws();
                     }
-                    "node" => {
-                        node_defaults.extend(self.parse_attr_list()?);
-                        continue;
-                    }
-                    "edge" => {
-                        edge_defaults.extend(self.parse_attr_list()?);
-                        continue;
-                    }
-                    _ => self.pos = save,
+                    self.expect(b'{')?;
+                    self.parse_body(graph, defaults, false)?;
                 }
-            } else {
-                self.pos = save;
+                "graph" => insert_all(&mut graph.attrs, self.parse_attr_list()?),
+                "node" => insert_all(&mut defaults.node, self.parse_attr_list()?),
+                "edge" => insert_all(&mut defaults.edge, self.parse_attr_list()?),
+                _ => self.parse_node_or_edge(id, graph, defaults)?,
             }
-            self.parse_node_or_edge(graph, node_defaults, edge_defaults)?;
         }
     }
 
     fn parse_node_or_edge(
         &mut self,
+        first: Cow<'a, str>,
         graph: &mut Graph,
-        node_defaults: &HashMap<String, String>,
-        edge_defaults: &HashMap<String, String>,
+        defaults: &Defaults,
     ) -> Result<(), GraphError> {
-        let first = self.parse_id()?;
         self.skip_ws();
 
         // `id = id` graph attribute.
-        if self.eat('=') {
+        if self.eat(b'=') {
             let val = self.parse_id()?;
-            graph.attrs.insert(first, val);
+            graph.attrs.insert(first.into_owned(), val.into_owned());
             self.skip_ws();
-            let _ = self.eat(';');
+            let _ = self.eat(b';');
             return Ok(());
         }
 
@@ -319,7 +298,7 @@ impl<'a> Parser<'a> {
         let mut chain = vec![first];
         loop {
             self.skip_ws();
-            if self.peek() == Some('-') && self.peek_at(1) == Some('>') {
+            if self.peek() == Some(b'-') && self.peek_at(1) == Some(b'>') {
                 self.pos += 2;
                 chain.push(self.parse_id()?);
             } else {
@@ -328,13 +307,13 @@ impl<'a> Parser<'a> {
         }
         let attrs = self.parse_attr_list()?;
         self.skip_ws();
-        let _ = self.eat(';');
+        let _ = self.eat(b';');
 
         if chain.len() == 1 {
             // Node statement: create or update.
             let name = chain.pop().expect("chain has one element");
-            let mut merged = node_defaults.clone();
-            merged.extend(attrs);
+            let mut merged = defaults.node.clone();
+            insert_all(&mut merged, attrs);
             match graph.node_by_name(&name) {
                 Some(id) => graph.node_mut(id).attrs.extend(merged),
                 None => {
@@ -342,30 +321,42 @@ impl<'a> Parser<'a> {
                 }
             }
         } else {
+            let endpoint = |graph: &mut Graph, name: &str| match graph.node_by_name(name) {
+                Some(id) => id,
+                None => {
+                    let id = graph.ensure_node(name);
+                    graph.node_mut(id).attrs.extend(defaults.node.clone());
+                    id
+                }
+            };
             for pair in chain.windows(2) {
-                let from = match graph.node_by_name(&pair[0]) {
-                    Some(id) => id,
-                    None => {
-                        let id = graph.ensure_node(&pair[0]);
-                        graph.node_mut(id).attrs.extend(node_defaults.clone());
-                        id
-                    }
-                };
-                let to = match graph.node_by_name(&pair[1]) {
-                    Some(id) => id,
-                    None => {
-                        let id = graph.ensure_node(&pair[1]);
-                        graph.node_mut(id).attrs.extend(node_defaults.clone());
-                        id
-                    }
-                };
-                let mut merged = edge_defaults.clone();
-                merged.extend(attrs.clone());
+                let from = endpoint(graph, &pair[0]);
+                let to = endpoint(graph, &pair[1]);
+                let mut merged = defaults.edge.clone();
+                insert_all(&mut merged, attrs.iter().cloned());
                 graph.add_edge(from, to, merged)?;
             }
         }
-        let _ = self.src; // keep src for potential diagnostics
         Ok(())
+    }
+}
+
+/// `node` and `edge` default attributes, applied to what is created
+/// after them.
+#[derive(Default)]
+struct Defaults {
+    node: HashMap<String, String>,
+    edge: HashMap<String, String>,
+}
+
+/// Insert `attrs` in order, a later value for a key replacing an
+/// earlier one.
+fn insert_all<'a>(
+    map: &mut HashMap<String, String>,
+    attrs: impl IntoIterator<Item = (Cow<'a, str>, Cow<'a, str>)>,
+) {
+    for (k, v) in attrs {
+        map.insert(k.into_owned(), v.into_owned());
     }
 }
 

@@ -8,12 +8,12 @@
 //! Edges are the plan's dataflow dependencies, labelled with the variable
 //! that carries the dependency.
 
-use std::collections::HashMap;
+use std::fmt::Write as _;
 
-use stetho_mal::{Arg, DataflowGraph, Plan};
+use stetho_mal::{Arg, Instruction, Plan, VarId};
 
 use crate::graph::Graph;
-use crate::writer::write_dot;
+use crate::writer;
 
 /// How node labels are rendered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -28,46 +28,22 @@ pub enum LabelStyle {
 
 /// Convert a plan to the attributed graph a dot file would describe.
 pub fn plan_to_graph(plan: &Plan, style: LabelStyle) -> Graph {
-    let mut g = Graph::new(plan.name.replace('.', "_"));
+    let mut g = Graph::new(graph_name(plan));
     g.attrs.insert("rankdir".into(), "TB".into());
-
+    let mut label = String::new();
     for ins in &plan.instructions {
-        let mut attrs = HashMap::new();
-        let label = match style {
-            LabelStyle::FullStatement => ins.render(plan),
-            LabelStyle::Short => ins.short_label(),
-        };
-        attrs.insert("label".into(), label);
-        attrs.insert("shape".into(), "box".into());
-        attrs.insert("pc".into(), ins.pc.to_string());
+        label.clear();
+        push_label(&mut label, ins, plan, style);
+        let attrs = node_attrs(&label, &ins.pc.to_string())
+            .map(|(k, v)| (k.to_string(), v.to_string()))
+            .into();
         g.add_node(format!("n{}", ins.pc), attrs)
             .expect("plan pcs are unique");
     }
-
-    // Dataflow edges, labelled by the variable carried.
-    let df = DataflowGraph::from_plan(plan);
-    // Recover which variable links each producer/consumer pair for labels.
-    let mut def_site: HashMap<usize, usize> = HashMap::new();
-    let mut edge_var: HashMap<(usize, usize), String> = HashMap::new();
-    for ins in &plan.instructions {
-        for a in &ins.args {
-            if let Arg::Var(v) = a {
-                if let Some(&d) = def_site.get(&v.0) {
-                    edge_var
-                        .entry((d, ins.pc))
-                        .or_insert_with(|| plan.var(*v).name.clone());
-                }
-            }
-        }
-        for r in &ins.results {
-            def_site.insert(r.0, ins.pc);
-        }
-    }
-    for (from, to) in df.edges() {
-        let mut attrs = HashMap::new();
-        if let Some(var) = edge_var.get(&(from, to)) {
-            attrs.insert("label".into(), var.clone());
-        }
+    for (from, to, var) in labelled_edges(plan) {
+        let attrs = edge_attrs(plan, var)
+            .map(|(k, v)| (k.to_string(), v.to_string()))
+            .into();
         let f = g.node_by_name(&format!("n{from}")).expect("node exists");
         let t = g.node_by_name(&format!("n{to}")).expect("node exists");
         g.add_edge(f, t, attrs).expect("endpoints exist");
@@ -75,9 +51,83 @@ pub fn plan_to_graph(plan: &Plan, style: LabelStyle) -> Graph {
     g
 }
 
-/// Convert a plan straight to dot text.
+/// Convert a plan straight to dot text: the bytes
+/// `write_dot(&plan_to_graph(plan, style))` would produce, written
+/// without building the graph.
 pub fn plan_to_dot(plan: &Plan, style: LabelStyle) -> String {
-    write_dot(&plan_to_graph(plan, style))
+    let mut out = String::with_capacity(128 * plan.len());
+    writer::begin(&mut out, &graph_name(plan));
+    writer::graph_attr(&mut out, "rankdir", "TB");
+    let (mut label, mut name, mut to_name) = (String::new(), String::new(), String::new());
+    for ins in &plan.instructions {
+        label.clear();
+        push_label(&mut label, ins, plan, style);
+        name.clear();
+        let _ = write!(name, "n{}", ins.pc);
+        // The `pc` attribute is the node name without its `n`.
+        writer::node_stmt(&mut out, &name, node_attrs(&label, &name[1..]));
+    }
+    for (from, to, var) in labelled_edges(plan) {
+        name.clear();
+        let _ = write!(name, "n{from}");
+        to_name.clear();
+        let _ = write!(to_name, "n{to}");
+        writer::edge_stmt(&mut out, &name, &to_name, edge_attrs(plan, var));
+    }
+    writer::end(&mut out);
+    out
+}
+
+/// The dot graph name: the plan name with dots made underscores.
+fn graph_name(plan: &Plan) -> String {
+    plan.name.replace('.', "_")
+}
+
+fn push_label(out: &mut String, ins: &Instruction, plan: &Plan, style: LabelStyle) {
+    match style {
+        LabelStyle::FullStatement => ins.render_into(plan, out),
+        LabelStyle::Short => out.push_str(&ins.short_label()),
+    }
+}
+
+/// A node's attributes, in the key order `write_dot` sorts them into.
+fn node_attrs<'a>(label: &'a str, pc: &'a str) -> [(&'static str, &'a str); 3] {
+    [("label", label), ("pc", pc), ("shape", "box")]
+}
+
+/// An edge's attributes: the variable that carries the dependency.
+fn edge_attrs(plan: &Plan, var: VarId) -> [(&'static str, &str); 1] {
+    [("label", plan.var(var).name.as_str())]
+}
+
+/// The plan's dataflow edges as `(producer pc, consumer pc, variable)`,
+/// in the order of `DataflowGraph::edges`: by producer, then by
+/// consumer in plan order. An edge is labelled with the first argument
+/// of the consumer that the producer defined.
+fn labelled_edges(plan: &Plan) -> Vec<(usize, usize, VarId)> {
+    let mut def_site: Vec<Option<usize>> = vec![None; plan.var_count()];
+    let mut edges = Vec::new();
+    for ins in &plan.instructions {
+        let first = edges.len();
+        for a in &ins.args {
+            if let Arg::Var(v) = a {
+                if let Some(&Some(d)) = def_site.get(v.0) {
+                    let new = edges[first..].iter().all(|&(from, _, _)| from != d);
+                    if new {
+                        edges.push((d, ins.pc, *v));
+                    }
+                }
+            }
+        }
+        for r in &ins.results {
+            if let Some(site) = def_site.get_mut(r.0) {
+                *site = Some(ins.pc);
+            }
+        }
+    }
+    // Stable: consumers stay in plan order under each producer.
+    edges.sort_by_key(|&(from, _, _)| from);
+    edges
 }
 
 /// Extract the pc back out of a dot node name (`n3` → 3). Returns `None`

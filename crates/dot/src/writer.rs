@@ -5,82 +5,132 @@
 //! statement per dataflow dependency, all attributes quoted.
 
 use std::collections::HashMap;
-use std::fmt::Write as _;
 
 use crate::graph::Graph;
 
 /// Render `graph` as dot text.
 pub fn write_dot(graph: &Graph) -> String {
     let mut out = String::new();
-    let name = if graph.name.is_empty() {
-        "G"
-    } else {
-        &graph.name
-    };
-    let _ = writeln!(out, "digraph {} {{", quote_id(name));
-    let mut gattrs: Vec<_> = graph.attrs.iter().collect();
-    gattrs.sort();
-    for (k, v) in gattrs {
-        let _ = writeln!(out, "  {}={};", quote_id(k), quote_string(v));
+    begin(&mut out, &graph.name);
+    for (k, v) in sorted(&graph.attrs) {
+        graph_attr(&mut out, k, v);
     }
     for node in graph.nodes() {
-        let _ = write!(out, "  {}", quote_id(&node.name));
-        write_attrs(&mut out, &node.attrs);
-        out.push_str(";\n");
+        node_stmt(&mut out, &node.name, sorted(&node.attrs));
     }
     for edge in graph.edges() {
         let from = &graph.node(edge.from).name;
         let to = &graph.node(edge.to).name;
-        let _ = write!(out, "  {} -> {}", quote_id(from), quote_id(to));
-        write_attrs(&mut out, &edge.attrs);
-        out.push_str(";\n");
+        edge_stmt(&mut out, from, to, sorted(&edge.attrs));
     }
-    out.push_str("}\n");
+    end(&mut out);
     out
 }
 
-fn write_attrs(out: &mut String, attrs: &HashMap<String, String>) {
-    if attrs.is_empty() {
-        return;
+/// Attributes in key order, so the output is deterministic.
+fn sorted(attrs: &HashMap<String, String>) -> Vec<(&str, &str)> {
+    let mut pairs: Vec<_> = attrs
+        .iter()
+        .map(|(k, v)| (k.as_str(), v.as_str()))
+        .collect();
+    pairs.sort_unstable();
+    pairs
+}
+
+// The statements below are the one set of dot syntax rules: the
+// `Graph` writer above and the direct plan writer in `plan_conv` both
+// emit through them. Attributes are written in the order given.
+
+/// `digraph <name> {` (`G` when the name is empty).
+pub(crate) fn begin(out: &mut String, name: &str) {
+    out.push_str("digraph ");
+    push_id(out, if name.is_empty() { "G" } else { name });
+    out.push_str(" {\n");
+}
+
+/// A graph attribute statement.
+pub(crate) fn graph_attr(out: &mut String, key: &str, value: &str) {
+    out.push_str("  ");
+    push_id(out, key);
+    out.push('=');
+    push_quoted(out, value);
+    out.push_str(";\n");
+}
+
+/// A node statement.
+pub(crate) fn node_stmt<'a>(
+    out: &mut String,
+    name: &str,
+    attrs: impl IntoIterator<Item = (&'a str, &'a str)>,
+) {
+    out.push_str("  ");
+    push_id(out, name);
+    push_attrs(out, attrs);
+    out.push_str(";\n");
+}
+
+/// An edge statement.
+pub(crate) fn edge_stmt<'a>(
+    out: &mut String,
+    from: &str,
+    to: &str,
+    attrs: impl IntoIterator<Item = (&'a str, &'a str)>,
+) {
+    out.push_str("  ");
+    push_id(out, from);
+    out.push_str(" -> ");
+    push_id(out, to);
+    push_attrs(out, attrs);
+    out.push_str(";\n");
+}
+
+/// The closing brace.
+pub(crate) fn end(out: &mut String) {
+    out.push_str("}\n");
+}
+
+/// ` [k="v", ...]`, or nothing without attributes.
+fn push_attrs<'a>(out: &mut String, attrs: impl IntoIterator<Item = (&'a str, &'a str)>) {
+    let mut any = false;
+    for (k, v) in attrs {
+        out.push_str(if any { ", " } else { " [" });
+        any = true;
+        push_id(out, k);
+        out.push('=');
+        push_quoted(out, v);
     }
-    let mut pairs: Vec<_> = attrs.iter().collect();
-    pairs.sort();
-    out.push_str(" [");
-    for (i, (k, v)) in pairs.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        let _ = write!(out, "{}={}", quote_id(k), quote_string(v));
+    if any {
+        out.push(']');
     }
-    out.push(']');
 }
 
 /// Dot identifiers need quoting unless they are alphanumeric words.
-fn quote_id(s: &str) -> String {
-    let plain = !s.is_empty()
-        && s.chars()
-            .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == '.')
-        && !s.chars().next().unwrap().is_ascii_digit();
+fn push_id(out: &mut String, s: &str) {
+    let plain = s
+        .bytes()
+        .all(|b| b.is_ascii_alphanumeric() || b == b'_' || b == b'.')
+        && s.bytes().next().is_some_and(|b| !b.is_ascii_digit());
     if plain {
-        s.to_string()
+        out.push_str(s);
     } else {
-        quote_string(s)
+        push_quoted(out, s);
     }
 }
 
-fn quote_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
+fn push_quoted(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            other => out.push(other),
-        }
+    let mut rest = s;
+    while let Some(i) = rest.find(['"', '\\', '\n']) {
+        out.push_str(&rest[..i]);
+        out.push_str(match rest.as_bytes()[i] {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            _ => "\\n",
+        });
+        rest = &rest[i + 1..];
     }
+    out.push_str(rest);
     out.push('"');
-    out
 }
 
 #[cfg(test)]

@@ -237,17 +237,20 @@ impl Interpreter {
             .map_err(|e| EngineError::Other(e.to_string()))?;
         let run = QueryRun::new(Arc::clone(&self.catalog), opts.profiler.clone());
         let started = Instant::now();
-        if opts.parallel {
+        let ran = if opts.parallel {
             scheduler::run_dataflow(
                 plan,
                 &run,
                 opts.effective_workers(),
                 opts.metrics.as_deref(),
-            )?;
+            )
         } else {
-            self.run_sequential(plan, &run)?;
-        }
+            self.run_sequential(plan, &run)
+        };
+        // A failed run flushes too: the events before the failure, the
+        // held-back `done`s among them, are the trace of what ran.
         opts.profiler.sink.flush();
+        ran?;
         let printed = std::mem::take(&mut *run.ctx.printed.lock());
         Ok(ExecOutcome {
             result: run.ctx.take_result(),

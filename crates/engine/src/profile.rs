@@ -11,14 +11,23 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use stetho_profiler::tracefile::TraceWriter;
-use stetho_profiler::{FilterOptions, ProfilerEmitter, TraceEvent};
+use stetho_profiler::{EventStatus, FilterOptions, ProfilerEmitter, TraceEvent};
 
 /// Destination for profiler events. Implementations must tolerate
 /// concurrent emission from scheduler workers.
+///
+/// A sink may hold a `done` event back, but only until the emitting
+/// thread's next event or its next [`ProfilerSink::send_deferred`]: the
+/// engine emits or calls one of them before that thread runs another
+/// kernel, parks or leaves the run, so no held-back event waits across
+/// a kernel.
 pub trait ProfilerSink: Send + Sync {
     /// Deliver one event.
     fn event(&self, e: &TraceEvent);
-    /// Flush buffered output (no-op by default).
+    /// Send the events held back so far (no-op by default).
+    fn send_deferred(&self) {}
+    /// Flush buffered output, held-back events included (no-op by
+    /// default).
     fn flush(&self) {}
 }
 
@@ -114,8 +123,20 @@ impl UdpSink {
 
 impl ProfilerSink for UdpSink {
     fn event(&self, e: &TraceEvent) {
-        // Datagram loss is inherent to the medium; ignore send errors.
-        let _ = self.emitter.emit(e);
+        // A `done` rides in the datagram of the thread's next `start`, a
+        // scheduling step later; a `start` leaves at once, so a node
+        // turns RED without delay. Datagram loss is inherent to the
+        // medium; ignore send errors.
+        match e.status {
+            EventStatus::Done => self.emitter.emit_deferred(e),
+            EventStatus::Start => {
+                let _ = self.emitter.emit(e);
+            }
+        }
+    }
+
+    fn send_deferred(&self) {
+        self.emitter.send_queued();
     }
 
     fn flush(&self) {
@@ -142,6 +163,12 @@ impl ProfilerSink for TeeSink {
     fn event(&self, e: &TraceEvent) {
         for s in &self.sinks {
             s.event(e);
+        }
+    }
+
+    fn send_deferred(&self) {
+        for s in &self.sinks {
+            s.send_deferred();
         }
     }
 
@@ -197,7 +224,6 @@ impl std::fmt::Debug for ProfilerConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stetho_profiler::EventStatus;
 
     fn ev(i: u64, stmt: &str) -> TraceEvent {
         TraceEvent {
@@ -262,5 +288,163 @@ mod tests {
     fn null_sink_ignores() {
         NullSink.event(&ev(0, "a.b();"));
         ProfilerConfig::off().emit(&ev(0, "a.b();"));
+    }
+
+    use crate::catalog::Catalog;
+    use crate::interp::{ExecOptions, Interpreter};
+    use std::time::Duration;
+    use stetho_mal::parse_plan;
+    use stetho_profiler::chaos::{ChaosConfig, ChaosLink, ChaosReceiver};
+    use stetho_profiler::wire::{decode_datagram, DecodedDatagram, Frame, FrameBody};
+
+    /// The trace events of one datagram, in wire order, or `None` for a
+    /// frame that is not an event.
+    fn datagram_events(bytes: &[u8]) -> Vec<Option<TraceEvent>> {
+        std::str::from_utf8(bytes)
+            .unwrap()
+            .split('\n')
+            .map(|line| match decode_datagram(line) {
+                DecodedDatagram::Frame(Frame {
+                    body: FrameBody::Event { line },
+                    ..
+                }) => Some(stetho_profiler::parse_event(&line).unwrap()),
+                DecodedDatagram::Frame(_) => None,
+                other => panic!("bad frame {other:?}"),
+            })
+            .collect()
+    }
+
+    /// Every datagram on `rx` until the link closes.
+    fn drain(rx: &ChaosReceiver) -> Vec<Vec<Option<TraceEvent>>> {
+        let mut out = Vec::new();
+        while let Ok((_, bytes)) = rx.recv_timeout(Duration::from_secs(10)) {
+            out.push(datagram_events(&bytes));
+        }
+        out
+    }
+
+    fn udp_sink(link: &ChaosLink) -> Arc<UdpSink> {
+        UdpSink::new(ProfilerEmitter::over(link))
+    }
+
+    #[test]
+    fn sequential_done_shares_a_datagram_with_the_next_start() {
+        let plan = parse_plan(
+            "X_0:int := sql.mvc();\n\
+             X_1:int := calc.+(X_0, 1:int);\n\
+             X_2:int := calc.+(X_1, 1:int);\n\
+             X_3:int := calc.*(X_2, 2:int);\n\
+             io.print(X_3);\n",
+        )
+        .unwrap();
+        let link = ChaosLink::new(ChaosConfig::clean(3));
+        let rx = link.receiver();
+        let sink = udp_sink(&link);
+        let opts = ExecOptions::profiled(ProfilerConfig::to_sink(sink.clone()));
+        Interpreter::new(Arc::new(Catalog::new()))
+            .execute(&plan, &opts)
+            .unwrap();
+        drop((sink, opts, link));
+        let datagrams = drain(&rx);
+        // One datagram per scheduling step: `start 0`, then `done k` with
+        // `start k+1`, then the last `done` with the closing heartbeat.
+        assert_eq!(datagrams.len(), plan.len() + 1, "{datagrams:#?}");
+        for (pc, d) in datagrams.iter().enumerate().take(plan.len()).skip(1) {
+            let (done, start) = (d[0].as_ref().unwrap(), d[1].as_ref().unwrap());
+            assert_eq!(d.len(), 2, "{d:#?}");
+            assert_eq!((done.status, done.pc), (EventStatus::Done, pc - 1));
+            assert_eq!((start.status, start.pc), (EventStatus::Start, pc));
+        }
+        let last = datagrams.last().unwrap();
+        assert_eq!(last[0].as_ref().unwrap().pc, plan.len() - 1);
+        assert!(last[1].is_none(), "heartbeat closes the run");
+    }
+
+    #[test]
+    fn a_done_does_not_wait_across_the_next_kernel() {
+        // An instant `sql.mvc` beside a sleep: its `done` must be on the
+        // link while the sleep runs, ahead of the sleep's own `done`, not
+        // when the run ends. Serially the sleep's `start` carries it. On
+        // two workers the sleep is the oldest source, so one worker
+        // sleeps while the other runs `sql.mvc` and then parks, sending
+        // what it held back.
+        let serial = parse_plan("X_0:int := sql.mvc();\nalarm.sleep(400:int);\n").unwrap();
+        let dataflow = parse_plan("alarm.sleep(400:int);\nX_0:int := sql.mvc();\n").unwrap();
+        for (plan, workers, fast, sleep) in [(&serial, 0, 0, 1), (&dataflow, 2, 1, 0)] {
+            let link = ChaosLink::new(ChaosConfig::clean(4));
+            let rx = link.receiver();
+            let profiler = ProfilerConfig::to_sink(udp_sink(&link));
+            let opts = if workers > 0 {
+                ExecOptions::parallel(workers, profiler)
+            } else {
+                ExecOptions::profiled(profiler)
+            };
+            Interpreter::new(Arc::new(Catalog::new()))
+                .execute(plan, &opts)
+                .unwrap();
+            drop((opts, link));
+            let datagrams = drain(&rx);
+            let done_in = |pc: usize| {
+                datagrams.iter().position(|d| {
+                    d.iter()
+                        .flatten()
+                        .any(|e| e.pc == pc && e.status == EventStatus::Done)
+                })
+            };
+            let (fast_done, sleep_done) = (done_in(fast).unwrap(), done_in(sleep).unwrap());
+            assert!(
+                fast_done < sleep_done,
+                "workers={workers}: pc {fast}'s done waited for the sleep: {datagrams:#?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_failed_run_delivers_every_event_it_emitted() {
+        // Division by zero fails an instruction before its `done`; the
+        // arity check fails `X_3` after its `done` was emitted.
+        let division = parse_plan(
+            "X_0:int := sql.mvc();\n\
+             X_1:int := calc.+(X_0, 1:int);\n\
+             X_2:int := calc.+(X_0, 2:int);\n\
+             X_3:int := calc./(X_1, 0:int);\n\
+             io.print(X_3);\n\
+             io.print(X_2);\n",
+        )
+        .unwrap();
+        let arity = parse_plan(
+            "X_0:int := sql.mvc();\n\
+             X_1:int := calc.+(X_0, 1:int);\n\
+             X_3:int := alarm.sleep(1:int);\n\
+             io.print(X_1, X_3);\n",
+        )
+        .unwrap();
+        for (plan, workers) in [(&division, 0), (&division, 2), (&arity, 0), (&arity, 2)] {
+            let link = ChaosLink::new(ChaosConfig::clean(5));
+            let rx = link.receiver();
+            let truth = VecSink::new();
+            let tee = TeeSink::new(vec![
+                truth.clone() as Arc<dyn ProfilerSink>,
+                udp_sink(&link),
+            ]);
+            let profiler = ProfilerConfig::to_sink(tee);
+            let opts = if workers > 0 {
+                ExecOptions::parallel(workers, profiler)
+            } else {
+                ExecOptions::profiled(profiler)
+            };
+            let r = Interpreter::new(Arc::new(Catalog::new())).execute(plan, &opts);
+            assert!(matches!(
+                r,
+                Err(crate::EngineError::DivisionByZero | crate::EngineError::Arity { .. })
+            ));
+            drop((opts, link));
+            let mut sent: Vec<TraceEvent> = drain(&rx).into_iter().flatten().flatten().collect();
+            let mut emitted = truth.take();
+            assert!(emitted.iter().any(|e| e.status == EventStatus::Done));
+            sent.sort_by_key(|e| e.event);
+            emitted.sort_by_key(|e| e.event);
+            assert_eq!(sent, emitted, "workers={workers}");
+        }
     }
 }

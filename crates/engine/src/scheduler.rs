@@ -29,6 +29,12 @@
 //! whoever readies work does so under that same mutex and notifies
 //! after releasing it.
 //!
+//! A profiler sink may hold a worker's `done` event back until that
+//! worker's next `start` (see [`crate::profile::ProfilerSink`]). A
+//! worker about to park or leave the run therefore first sends what its
+//! sink held back, outside the queue mutex, and then looks at the queue
+//! again before it waits.
+//!
 //! ## Variable lifetimes
 //!
 //! Each variable carries a count of the argument slots still to read it.
@@ -142,8 +148,14 @@ struct Shared<'a> {
 
 impl Shared<'_> {
     /// Record how `worker`'s last instruction (if any) ended, then hand
-    /// it its next one; `None` once the run is over.
-    fn next(&self, worker: usize, finished: Option<(usize, Result<()>)>) -> Option<usize> {
+    /// it its next one; `None` once the run is over. A worker that parks
+    /// or leaves first sends the profiler events its sink held back.
+    fn next(
+        &self,
+        run: &QueryRun,
+        worker: usize,
+        finished: Option<(usize, Result<()>)>,
+    ) -> Option<usize> {
         let mut q = self.queue.lock().expect(POISONED);
         let mut readied = 0usize;
         if let Some((pc, outcome)) = finished {
@@ -165,11 +177,13 @@ impl Shared<'_> {
                 }
             }
         }
+        let mut sent_deferred = false;
         loop {
             // Everything executed, or an instruction failed.
             if q.remaining == 0 || q.first_error.is_some() {
                 drop(q);
                 self.wake.notify_all();
+                run.profiler.sink.send_deferred();
                 return None;
             }
             if let Some((pc, by)) = q.take(worker) {
@@ -188,6 +202,16 @@ impl Shared<'_> {
                     m.queue_depth.set(depth as f64);
                 }
                 return Some(pc);
+            }
+            // Send what this worker's events held back before it parks,
+            // then look again: work readied meanwhile is taken, not
+            // slept through.
+            if !sent_deferred {
+                drop(q);
+                run.profiler.sink.send_deferred();
+                sent_deferred = true;
+                q = self.queue.lock().expect(POISONED);
+                continue;
             }
             if let Some(m) = &self.metrics {
                 m.parks[worker].inc();
@@ -259,7 +283,7 @@ pub(crate) fn run_dataflow(
 
 fn worker_loop(shared: &Shared<'_>, run: &QueryRun, worker: usize) {
     let mut finished = None;
-    while let Some(pc) = shared.next(worker, finished.take()) {
+    while let Some(pc) = shared.next(run, worker, finished.take()) {
         let ins = &shared.plan.instructions[pc];
         let outcome = run.run_instruction(
             ins,

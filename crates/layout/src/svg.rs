@@ -48,11 +48,15 @@ pub fn write_svg(scene: &SceneGraph) -> String {
 /// state frames). When a node has several overrides, the last one wins.
 pub fn write_svg_styled(scene: &SceneGraph, styles: &NodeStyles) -> String {
     let mut out = String::with_capacity(128 * scene.edges.len() + 256 * scene.nodes.len());
-    let _ = writeln!(
-        out,
-        r#"<svg xmlns="http://www.w3.org/2000/svg" width="{:.1}" height="{:.1}" viewBox="0 0 {:.1} {:.1}">"#,
-        scene.width, scene.height, scene.width, scene.height
-    );
+    out.push_str(r#"<svg xmlns="http://www.w3.org/2000/svg" width=""#);
+    push_f1(&mut out, scene.width);
+    out.push_str(r#"" height=""#);
+    push_f1(&mut out, scene.height);
+    out.push_str(r#"" viewBox="0 0 "#);
+    push_f1(&mut out, scene.width);
+    out.push(' ');
+    push_f1(&mut out, scene.height);
+    out.push_str("\">\n");
     for e in &scene.edges {
         let _ = write!(
             out,
@@ -60,14 +64,18 @@ pub fn write_svg_styled(scene: &SceneGraph, styles: &NodeStyles) -> String {
             e.from, e.to
         );
         if let Some(l) = &e.label {
-            let _ = write!(out, r#" data-label="{}""#, esc(l));
+            out.push_str(r#" data-label=""#);
+            out.push_str(&esc(l));
+            out.push('"');
         }
         out.push_str(r#" points=""#);
-        for (i, (x, y)) in e.points.iter().enumerate() {
+        for (i, &(x, y)) in e.points.iter().enumerate() {
             if i > 0 {
                 out.push(' ');
             }
-            let _ = write!(out, "{x:.1},{y:.1}");
+            push_f1(&mut out, x);
+            out.push(',');
+            push_f1(&mut out, y);
         }
         out.push_str("\" fill=\"none\" stroke=\"#555\"/>\n");
     }
@@ -78,27 +86,69 @@ pub fn write_svg_styled(scene: &SceneGraph, styles: &NodeStyles) -> String {
         }
     }
     for (n, fill) in scene.nodes.iter().zip(fills) {
-        let _ = writeln!(out, r#"  <g class="node" id="{}">"#, esc(&n.name));
-        let _ = writeln!(
-            out,
-            r##"    <rect x="{:.1}" y="{:.1}" width="{:.1}" height="{:.1}" fill="{}" stroke="#222"/>"##,
-            n.x - n.w / 2.0,
-            n.y - n.h / 2.0,
-            n.w,
-            n.h,
-            fill.unwrap_or("#f0f0f0")
-        );
-        let _ = writeln!(
-            out,
-            r#"    <text x="{:.1}" y="{:.1}" text-anchor="middle" font-size="11">{}</text>"#,
-            n.x,
-            n.y + 4.0,
-            esc(&n.label)
-        );
-        out.push_str("  </g>\n");
+        out.push_str(r#"  <g class="node" id=""#);
+        out.push_str(&esc(&n.name));
+        out.push_str("\">\n    <rect x=\"");
+        push_f1(&mut out, n.x - n.w / 2.0);
+        out.push_str(r#"" y=""#);
+        push_f1(&mut out, n.y - n.h / 2.0);
+        out.push_str(r#"" width=""#);
+        push_f1(&mut out, n.w);
+        out.push_str(r#"" height=""#);
+        push_f1(&mut out, n.h);
+        out.push_str(r#"" fill=""#);
+        out.push_str(fill.unwrap_or("#f0f0f0"));
+        out.push_str("\" stroke=\"#222\"/>\n    <text x=\"");
+        push_f1(&mut out, n.x);
+        out.push_str(r#"" y=""#);
+        push_f1(&mut out, n.y + 4.0);
+        out.push_str(r#"" text-anchor="middle" font-size="11">"#);
+        out.push_str(&esc(&n.label));
+        out.push_str("</text>\n  </g>\n");
     }
     out.push_str("</svg>\n");
     out
+}
+
+/// Append `x` exactly as `format!("{x:.1}")` writes it. Below 1e8 in
+/// magnitude it rounds in integer arithmetic: `t = 10·|x|` is then
+/// within 6e-8 of the exact product, so unless `t` lies within 1e-6 of
+/// a rounding tie, rounding `t` to the nearest integer rounds the exact
+/// value the same way. Ties, large magnitudes and non-finite values go
+/// through the formatter.
+fn push_f1(out: &mut String, x: f64) {
+    let t = x.abs() * 10.0;
+    if t < 1e9 {
+        let whole = t.floor();
+        let frac = t - whole;
+        if (frac - 0.5).abs() > 1e-6 {
+            // `whole < 1e9`, so the cast is exact.
+            let tenths = whole as u64 + u64::from(frac > 0.5);
+            if x.is_sign_negative() {
+                out.push('-');
+            }
+            push_u64(out, tenths / 10);
+            out.push('.');
+            out.push(char::from(b'0' + (tenths % 10) as u8));
+            return;
+        }
+    }
+    let _ = write!(out, "{x:.1}");
+}
+
+/// Append the decimal digits of `n`.
+fn push_u64(out: &mut String, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
 }
 
 /// Escape the four characters the writer's attributes and text bodies
@@ -361,6 +411,55 @@ mod tests {
         assert!(parse_svg("<svg width=\"x\" height=\"1\">").is_err());
         let bad = "<svg width=\"10.0\" height=\"10.0\">\n<g class=\"node\" id=\"n0\">";
         assert!(parse_svg(bad).is_err());
+    }
+
+    #[test]
+    fn one_decimal_writer_matches_the_formatter() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x5EED);
+        let mut values = vec![
+            0.0,
+            -0.0,
+            0.05,
+            -0.05,
+            0.04,
+            -0.04,
+            0.25,
+            0.35,
+            -0.25,
+            2.5,
+            0.95,
+            9.95,
+            99.95,
+            1e8,
+            -1e8,
+            1e8 - 0.05,
+            99_999_999.95,
+            1e300,
+            f64::MIN_POSITIVE,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        for _ in 0..1_000_000 {
+            let x = match rng.gen_range(0..4u32) {
+                // Any magnitude up to 1e8.
+                0 => rng.gen_range(-1e8..1e8),
+                // Layout-sized coordinates.
+                1 => rng.gen_range(-1e4..1e4),
+                // Exact quarters and halves: ties and near-ties.
+                2 => f64::from(rng.gen_range(-400_000_000..400_000_000i32)) / 4.0,
+                // Hundredths ending in 5 (0.05, 1.15, ...), just off a tie.
+                _ => (f64::from(rng.gen_range(-1_000_000..1_000_000i32)) * 10.0 + 5.0) / 100.0,
+            };
+            values.push(x);
+        }
+        let mut out = String::new();
+        for x in values {
+            out.clear();
+            push_f1(&mut out, x);
+            assert_eq!(out, format!("{x:.1}"), "{x:e}");
+        }
     }
 
     #[test]

@@ -91,39 +91,46 @@ impl Instruction {
     /// resolving variable names through `plan`.
     pub fn render(&self, plan: &Plan) -> String {
         let mut s = String::new();
-        if !self.results.is_empty() {
-            let results: Vec<String> = self
-                .results
-                .iter()
-                .map(|r| {
-                    let v = plan.var(*r);
-                    format!("{}:{}", v.name, v.ty)
-                })
-                .collect();
-            if results.len() == 1 {
-                s.push_str(&results[0]);
-            } else {
-                s.push('(');
-                s.push_str(&results.join(", "));
-                s.push(')');
-            }
-            s.push_str(" := ");
-        }
-        s.push_str(&self.module);
-        s.push('.');
-        s.push_str(&self.function);
-        s.push('(');
-        let args: Vec<String> = self
-            .args
-            .iter()
-            .map(|a| match a {
-                Arg::Var(v) => plan.var(*v).name.clone(),
-                Arg::Lit(v) => v.to_string(),
-            })
-            .collect();
-        s.push_str(&args.join(", "));
-        s.push_str(");");
+        self.render_into(plan, &mut s);
         s
+    }
+
+    /// [`Self::render`], appended to `out`.
+    pub fn render_into(&self, plan: &Plan, out: &mut String) {
+        use fmt::Write as _;
+        if !self.results.is_empty() {
+            let many = self.results.len() > 1;
+            if many {
+                out.push('(');
+            }
+            for (i, r) in self.results.iter().enumerate() {
+                if i > 0 {
+                    out.push_str(", ");
+                }
+                let v = plan.var(*r);
+                let _ = write!(out, "{}:{}", v.name, v.ty);
+            }
+            if many {
+                out.push(')');
+            }
+            out.push_str(" := ");
+        }
+        out.push_str(&self.module);
+        out.push('.');
+        out.push_str(&self.function);
+        out.push('(');
+        for (i, a) in self.args.iter().enumerate() {
+            if i > 0 {
+                out.push_str(", ");
+            }
+            match a {
+                Arg::Var(v) => out.push_str(&plan.var(*v).name),
+                Arg::Lit(v) => {
+                    let _ = write!(out, "{v}");
+                }
+            }
+        }
+        out.push_str(");");
     }
 
     /// A short label for graph nodes: `module.function` only. Figure 2 of

@@ -11,6 +11,7 @@
 //! The format round-trips: [`parse_event`] ∘ [`format_event`] = identity.
 
 use std::fmt;
+use std::fmt::Write as _;
 
 use crate::event::{EventStatus, TraceEvent};
 
@@ -35,8 +36,16 @@ fn err(msg: impl Into<String>) -> FormatError {
 
 /// Render an event as one trace line (no trailing newline).
 pub fn format_event(e: &TraceEvent) -> String {
-    format!(
-        "[ {}, \"{}\", {}, {}, {}, {}, {}, \"{}\" ]",
+    let mut out = String::with_capacity(64 + e.stmt.len());
+    push_event(&mut out, e);
+    out
+}
+
+/// Append [`format_event`]'s line to `out`.
+pub(crate) fn push_event(out: &mut String, e: &TraceEvent) {
+    let _ = write!(
+        out,
+        "[ {}, \"{}\", {}, {}, {}, {}, {}, \"",
         e.event,
         e.status.as_str(),
         e.pc,
@@ -44,8 +53,9 @@ pub fn format_event(e: &TraceEvent) -> String {
         e.clk,
         e.usec,
         e.rss,
-        escape(&e.stmt)
-    )
+    );
+    push_escaped(out, &e.stmt);
+    out.push_str("\" ]");
 }
 
 /// Parse one trace line.
@@ -57,9 +67,9 @@ pub fn parse_event(line: &str) -> Result<TraceEvent, FormatError> {
         .ok_or_else(|| err("record must be bracketed"))?
         .trim();
 
-    let fields = split_record(inner)?;
-    if fields.len() != 8 {
-        return Err(err(format!("expected 8 fields, got {}", fields.len())));
+    let (count, fields) = split_record(inner)?;
+    if count != 8 {
+        return Err(err(format!("expected 8 fields, got {count}")));
     }
     let num = |i: usize, name: &str| -> Result<u64, FormatError> {
         fields[i]
@@ -67,10 +77,14 @@ pub fn parse_event(line: &str) -> Result<TraceEvent, FormatError> {
             .parse::<u64>()
             .map_err(|_| err(format!("bad {name} field `{}`", fields[i])))
     };
-    let status = match unquote(fields[1].trim())?.as_str() {
-        "start" => EventStatus::Start,
-        "done" => EventStatus::Done,
-        other => return Err(err(format!("bad status `{other}`"))),
+    let status = match fields[1].trim() {
+        "\"start\"" => EventStatus::Start,
+        "\"done\"" => EventStatus::Done,
+        quoted => match unquote(quoted)?.as_str() {
+            "start" => EventStatus::Start,
+            "done" => EventStatus::Done,
+            other => return Err(err(format!("bad status `{other}`"))),
+        },
     };
     Ok(TraceEvent {
         event: num(0, "event")?,
@@ -84,28 +98,36 @@ pub fn parse_event(line: &str) -> Result<TraceEvent, FormatError> {
     })
 }
 
-/// Split on commas outside quoted strings.
-fn split_record(s: &str) -> Result<Vec<&str>, FormatError> {
-    let mut parts = Vec::new();
+/// Split on commas outside quoted strings: the number of fields and
+/// the first eight of them. Quotes, commas and backslashes are ASCII, so
+/// scanning bytes finds the same boundaries as scanning chars.
+fn split_record(s: &str) -> Result<(usize, [&str; 8]), FormatError> {
+    let mut parts = [""; 8];
+    let mut count = 0;
     let mut start = 0;
     let mut in_str = false;
     let mut prev_escape = false;
-    for (i, c) in s.char_indices() {
-        match c {
-            '"' if !prev_escape => in_str = !in_str,
-            ',' if !in_str => {
-                parts.push(&s[start..i]);
+    for (i, b) in s.bytes().enumerate() {
+        match b {
+            b'"' if !prev_escape => in_str = !in_str,
+            b',' if !in_str => {
+                if let Some(slot) = parts.get_mut(count) {
+                    *slot = &s[start..i];
+                }
+                count += 1;
                 start = i + 1;
             }
             _ => {}
         }
-        prev_escape = c == '\\' && !prev_escape;
+        prev_escape = b == b'\\' && !prev_escape;
     }
     if in_str {
         return Err(err("unterminated string"));
     }
-    parts.push(&s[start..]);
-    Ok(parts)
+    if let Some(slot) = parts.get_mut(count) {
+        *slot = &s[start..];
+    }
+    Ok((count + 1, parts))
 }
 
 fn unquote(s: &str) -> Result<String, FormatError> {
@@ -113,6 +135,9 @@ fn unquote(s: &str) -> Result<String, FormatError> {
         .strip_prefix('"')
         .and_then(|x| x.strip_suffix('"'))
         .ok_or_else(|| err(format!("expected quoted string, got `{s}`")))?;
+    if !body.contains('\\') {
+        return Ok(body.to_string());
+    }
     let mut out = String::with_capacity(body.len());
     let mut chars = body.chars();
     while let Some(c) = chars.next() {
@@ -130,18 +155,20 @@ fn unquote(s: &str) -> Result<String, FormatError> {
     Ok(out)
 }
 
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            other => out.push(other),
-        }
+/// Append `s` with `"`, `\\`, newline and tab escaped.
+fn push_escaped(out: &mut String, s: &str) {
+    let mut rest = s;
+    while let Some(i) = rest.find(['"', '\\', '\n', '\t']) {
+        out.push_str(&rest[..i]);
+        out.push_str(match rest.as_bytes()[i] {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            _ => "\\t",
+        });
+        rest = &rest[i + 1..];
     }
-    out
+    out.push_str(rest);
 }
 
 #[cfg(test)]

@@ -10,7 +10,7 @@ use std::path::{Path, PathBuf};
 
 use crate::event::TraceEvent;
 use crate::filter::FilterOptions;
-use crate::format::{format_event, parse_event};
+use crate::format::{format_event, parse_event, push_event};
 
 /// A trace file on disk.
 #[derive(Debug)]
@@ -88,6 +88,8 @@ pub fn read_events(r: impl BufRead, filter: &FilterOptions) -> io::Result<Vec<Tr
 pub struct TraceWriter {
     w: BufWriter<File>,
     written: usize,
+    /// One line, kept to reuse its allocation.
+    line: String,
 }
 
 impl TraceWriter {
@@ -96,12 +98,16 @@ impl TraceWriter {
         Ok(TraceWriter {
             w: BufWriter::new(File::create(path)?),
             written: 0,
+            line: String::new(),
         })
     }
 
     /// Append one event.
     pub fn write_event(&mut self, e: &TraceEvent) -> io::Result<()> {
-        writeln!(self.w, "{}", format_event(e))?;
+        self.line.clear();
+        push_event(&mut self.line, e);
+        self.line.push('\n');
+        self.w.write_all(self.line.as_bytes())?;
         self.written += 1;
         Ok(())
     }

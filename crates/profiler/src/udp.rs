@@ -151,6 +151,17 @@ enum EmitterLink {
     Mem(ChaosEndpoint),
 }
 
+/// When [`ProfilerEmitter::send`] hands queued frames to the link.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Dispatch {
+    /// Leave them for the next send.
+    Later,
+    /// Now, or through the send already in flight.
+    Now,
+    /// Now, and return only once they are on the link.
+    Wait,
+}
+
 /// Frames waiting for the link, and who is sending them.
 #[derive(Default)]
 struct Outbox {
@@ -180,6 +191,12 @@ struct Outbox {
 /// sender's next datagrams, so a frame waits at most for the send in
 /// flight, and one sender at a time keeps wire order equal to sequence
 /// order.
+///
+/// [`ProfilerEmitter::emit_deferred`] queues an event without sending
+/// it: it rides in the datagram of the next frame any caller sends, or
+/// leaves at [`ProfilerEmitter::send_queued`]. The engine defers its
+/// `done` events this way, so one scheduling step (a `done` and the
+/// next `start`) costs one datagram.
 pub struct ProfilerEmitter {
     link: EmitterLink,
     outbox: std::sync::Mutex<Outbox>,
@@ -254,17 +271,36 @@ impl ProfilerEmitter {
     /// Send one trace event, followed by a heartbeat every
     /// [`HEARTBEAT_EVERY`] events.
     pub fn emit(&self, e: &TraceEvent) -> io::Result<()> {
+        self.send(self.event_frames(e), Dispatch::Now);
+        Ok(())
+    }
+
+    /// Queue one trace event (and its heartbeat, as [`Self::emit`]
+    /// would send) without sending it. It leaves in the datagram of the
+    /// next frame anyone sends through this emitter, or at
+    /// [`Self::send_queued`]; until then it holds up no one.
+    pub fn emit_deferred(&self, e: &TraceEvent) {
+        self.send(self.event_frames(e), Dispatch::Later);
+    }
+
+    /// Send every frame queued so far, unless another thread's send is
+    /// in flight and will carry them.
+    pub fn send_queued(&self) {
+        self.send([], Dispatch::Now);
+    }
+
+    /// The event's frame, then a heartbeat every [`HEARTBEAT_EVERY`]
+    /// events.
+    fn event_frames(&self, e: &TraceEvent) -> impl Iterator<Item = FrameBody> {
         let event = FrameBody::Event {
             line: format_event(e),
         };
         let n = self.data_frames.fetch_add(1, Ordering::Relaxed) + 1;
-        if n.is_multiple_of(HEARTBEAT_EVERY) {
+        let heartbeat = n.is_multiple_of(HEARTBEAT_EVERY).then(|| {
             self.heartbeats.fetch_add(1, Ordering::Relaxed);
-            self.send([event, FrameBody::Heartbeat], false);
-        } else {
-            self.send([event], false);
-        }
-        Ok(())
+            FrameBody::Heartbeat
+        });
+        std::iter::once(event).chain(heartbeat)
     }
 
     /// Send a complete dot file, framed, before query execution begins.
@@ -278,7 +314,7 @@ impl ProfilerEmitter {
         let bodies = std::iter::once(begin)
             .chain(lines)
             .chain(std::iter::once(FrameBody::DotEnd));
-        self.send(bodies, false);
+        self.send(bodies, Dispatch::Now);
         Ok(())
     }
 
@@ -288,14 +324,17 @@ impl ProfilerEmitter {
     /// Returns once every frame queued so far is on the link, so nothing
     /// sent afterwards from another socket can overtake the stream.
     pub fn send_end_of_trace(&self) -> io::Result<()> {
-        self.send((0..=EOT_ECHOES).map(|_| FrameBody::EndOfTrace), true);
+        self.send(
+            (0..=EOT_ECHOES).map(|_| FrameBody::EndOfTrace),
+            Dispatch::Wait,
+        );
         Ok(())
     }
 
     /// Send a liveness heartbeat now.
     pub fn send_heartbeat(&self) {
         self.heartbeats.fetch_add(1, Ordering::Relaxed);
-        self.send([FrameBody::Heartbeat], false);
+        self.send([FrameBody::Heartbeat], Dispatch::Now);
     }
 
     fn lock_outbox(&self) -> std::sync::MutexGuard<'_, Outbox> {
@@ -303,20 +342,24 @@ impl ProfilerEmitter {
     }
 
     /// Allocate consecutive sequence numbers to `bodies` and queue them,
-    /// then drain the outbox onto the link unless another thread already
-    /// is. With `wait`, return only once these frames are on the link.
-    /// Errors are absorbed: the sequence numbers are consumed either way,
-    /// so a frame the network never saw surfaces as a `Lost` gap
-    /// downstream rather than silently renumbering the stream.
-    fn send(&self, bodies: impl IntoIterator<Item = FrameBody>, wait: bool) {
+    /// then, unless `when` is [`Dispatch::Later`], drain the outbox onto
+    /// the link unless another thread already is. With
+    /// [`Dispatch::Wait`], return only once these frames are on the
+    /// link. Errors are absorbed: the sequence numbers are consumed
+    /// either way, so a frame the network never saw surfaces as a `Lost`
+    /// gap downstream rather than silently renumbering the stream.
+    fn send(&self, bodies: impl IntoIterator<Item = FrameBody>, when: Dispatch) {
         let mut out = self.lock_outbox();
         for body in bodies {
             let seq = out.next_seq;
             out.next_seq += 1;
             out.frames.push_back(encode_frame(&Frame { seq, body }));
         }
+        if when == Dispatch::Later {
+            return;
+        }
         if out.sending {
-            if wait {
+            if when == Dispatch::Wait {
                 let mine = out.next_seq;
                 out.waiters += 1;
                 out = self
