@@ -84,9 +84,8 @@ impl MultiServerSession {
         let addr = steth.local_addr()?;
         let rx = steth.start();
 
-        // Launch each server: connect its emitter first (so we can
-        // register its per-server filter before any event flows), then
-        // run the query in a thread. The stream closes once the last
+        // Launch each server, its profiler filtering at the source, and
+        // run its query in a thread. The stream closes once the last
         // server has exited.
         let closer = Arc::new(StreamCloser(steth.stop_handle()));
         let mut launched = Vec::with_capacity(specs.len());
@@ -95,13 +94,11 @@ impl MultiServerSession {
                 .map_err(|e| SessionError::new(format!("{}: compile: {e}", spec.name)))?;
             let emitter = ProfilerEmitter::connect(addr)?;
             let source = emitter.local_addr()?;
-            if let Some(f) = &spec.filter {
-                steth.set_server_filter(source, f.clone());
-            }
             let server = Server {
                 catalog: Arc::clone(&spec.catalog),
                 plan: compiled.plan.clone(),
                 dot: None,
+                filter: spec.filter.clone().unwrap_or_default(),
                 workers: 0,
                 metrics: None,
                 closer: Arc::clone(&closer),
@@ -347,10 +344,10 @@ mod tests {
                 rss: 0,
                 stmt: "a.b();".into(),
             };
-            alpha.emit(&e).unwrap();
-            beta.emit(&e).unwrap();
+            alpha.emit(&e);
+            beta.emit(&e);
         }
-        alpha.send_end_of_trace().unwrap();
+        alpha.send_end_of_trace();
         let (a, b) = (alpha.local_addr().unwrap(), beta.local_addr().unwrap());
         drop((alpha, beta));
 

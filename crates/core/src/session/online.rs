@@ -68,7 +68,7 @@ pub struct OnlineConfig {
     pub sample_capacity: usize,
     /// Optional user threshold (µs) enabling the second §4.2.1 algorithm.
     pub threshold_usec: Option<u64>,
-    /// Server-side profiler filter.
+    /// The server's profiler filter: rejected events are never sent.
     pub filter: FilterOptions,
     /// Where the monitor writes the received dot file.
     pub dot_path: PathBuf,
@@ -327,7 +327,6 @@ impl OnlineSession {
             Some(link) => TextualStethoscope::over(link),
             None => TextualStethoscope::bind()?,
         };
-        steth.set_default_filter(cfg.filter.clone());
         if let Some(reg) = &cfg.metrics {
             crate::metrics::bridge_transport(reg, steth.counters());
         }
@@ -342,6 +341,7 @@ impl OnlineSession {
             catalog,
             plan: plan.clone(),
             dot: Some(dot_text.clone()),
+            filter: cfg.filter.clone(),
             workers: cfg.workers,
             metrics: cfg.metrics.clone(),
             closer: Arc::new(StreamCloser(steth.stop_handle())),
@@ -566,6 +566,53 @@ mod tests {
         assert!(threads.len() >= 2, "parallel execution visible in trace");
         std::fs::remove_file(&cfg.trace_path).ok();
         std::fs::remove_file(&cfg.dot_path).ok();
+    }
+
+    #[test]
+    fn server_filter_keeps_rejected_events_off_the_wire() {
+        // Over UDP and over a clean chaos link, the server's profiler
+        // sends only `algebra.*` events: they alone reach the outcome
+        // and the trace file, and fewer frames cross the wire.
+        let key = |e: &TraceEvent| (e.event, e.pc, e.status);
+        for chaos in [None, Some(ChaosConfig::clean(12))] {
+            let run = |filter: FilterOptions| {
+                let cfg = OnlineConfig {
+                    pacing_ms: 0,
+                    filter,
+                    chaos,
+                    ..Default::default()
+                };
+                let out = OnlineSession::run(
+                    catalog(),
+                    "select l_tax from lineitem where l_partkey = 1",
+                    &cfg,
+                )
+                .unwrap();
+                let traced = stetho_profiler::TraceFile::new(&cfg.trace_path)
+                    .read()
+                    .unwrap();
+                std::fs::remove_file(&cfg.trace_path).ok();
+                std::fs::remove_file(&cfg.dot_path).ok();
+                (out, traced)
+            };
+            let (all, _) = run(FilterOptions::all());
+            let (algebra, traced) = run(FilterOptions::all().with_module("algebra"));
+            let want: Vec<_> = all
+                .events
+                .iter()
+                .filter(|e| e.module() == "algebra")
+                .map(key)
+                .collect();
+            assert!(!want.is_empty(), "{chaos:?}");
+            assert_eq!(algebra.events.iter().map(key).collect::<Vec<_>>(), want);
+            assert_eq!(traced.iter().map(key).collect::<Vec<_>>(), want);
+            assert!(
+                algebra.transport.received < all.transport.received,
+                "{chaos:?}: {} frames filtered against {} unfiltered",
+                algebra.transport.received,
+                all.transport.received
+            );
+        }
     }
 
     #[test]

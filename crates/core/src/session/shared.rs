@@ -9,7 +9,7 @@ use stetho_dot::Graph;
 use stetho_engine::{Catalog, ExecOptions, Interpreter, ProfilerConfig, UdpSink};
 use stetho_layout::{layout, parse_svg, write_svg, LayoutOptions, SceneGraph};
 use stetho_mal::Plan;
-use stetho_profiler::{ProfilerEmitter, StopHandle, TraceEvent};
+use stetho_profiler::{FilterOptions, ProfilerEmitter, StopHandle, TraceEvent};
 use stetho_zvtm::{EventDispatchThread, VirtualSpace};
 
 use crate::color::{ColorChange, ColorState, ElisionWindow, PairElision};
@@ -123,6 +123,8 @@ pub(crate) struct Server {
     pub plan: Plan,
     /// Dot text sent before execution begins, if any.
     pub dot: Option<String>,
+    /// The profiler's filter (§3): events it rejects are never sent.
+    pub filter: FilterOptions,
     /// Engine worker threads (0 or 1 = sequential interpreter).
     pub workers: usize,
     pub metrics: Option<Arc<stetho_obsv::Registry>>,
@@ -152,10 +154,11 @@ impl Server {
                 // Declared first, so it drops last: after every send.
                 let _closer = self.closer;
                 if let Some(dot) = &self.dot {
-                    emitter.send_dot(&self.plan.name, dot)?;
+                    emitter.send_dot(&self.plan.name, dot);
                 }
                 let sink = UdpSink::new(emitter);
-                let profiler = ProfilerConfig::to_sink(sink.clone());
+                let mut profiler = ProfilerConfig::to_sink(sink.clone());
+                profiler.filter = self.filter;
                 let mut opts = if self.workers > 1 {
                     ExecOptions::parallel(self.workers, profiler)
                 } else {
@@ -165,7 +168,7 @@ impl Server {
                 let out = Interpreter::new(self.catalog)
                     .execute(&self.plan, &opts)
                     .map_err(|e| SessionError::new(e.to_string()))?;
-                sink.emitter().send_end_of_trace()?;
+                sink.emitter().send_end_of_trace();
                 Ok(out.result.map(|r| r.rows()).unwrap_or(0))
             })?;
         Ok(ServerHandle {

@@ -129,9 +129,7 @@ impl ProfilerSink for UdpSink {
         // medium; ignore send errors.
         match e.status {
             EventStatus::Done => self.emitter.emit_deferred(e),
-            EventStatus::Start => {
-                let _ = self.emitter.emit(e);
-            }
+            EventStatus::Start => self.emitter.emit(e),
         }
     }
 
@@ -205,10 +203,14 @@ impl ProfilerConfig {
         }
     }
 
-    /// Emit one event through the filter.
+    /// Emit one event through the filter. A `start` the filter rejects
+    /// still begins a kernel, so the sink sends what it held back, as
+    /// the [`ProfilerSink`] contract asks.
     pub fn emit(&self, e: &TraceEvent) {
         if self.filter.accepts(e) {
             self.sink.event(e);
+        } else if e.status == EventStatus::Start {
+            self.sink.send_deferred();
         }
     }
 }
@@ -292,7 +294,6 @@ mod tests {
 
     use crate::catalog::Catalog;
     use crate::interp::{ExecOptions, Interpreter};
-    use std::time::Duration;
     use stetho_mal::parse_plan;
     use stetho_profiler::chaos::{ChaosConfig, ChaosLink, ChaosReceiver};
     use stetho_profiler::wire::{decode_datagram, DecodedDatagram, Frame, FrameBody};
@@ -316,11 +317,9 @@ mod tests {
 
     /// Every datagram on `rx` until the link closes.
     fn drain(rx: &ChaosReceiver) -> Vec<Vec<Option<TraceEvent>>> {
-        let mut out = Vec::new();
-        while let Ok((_, bytes)) = rx.recv_timeout(Duration::from_secs(10)) {
-            out.push(datagram_events(&bytes));
-        }
-        out
+        std::iter::from_fn(|| rx.recv())
+            .map(|(_, bytes)| datagram_events(&bytes))
+            .collect()
     }
 
     fn udp_sink(link: &ChaosLink) -> Arc<UdpSink> {
@@ -397,6 +396,31 @@ mod tests {
                 "workers={workers}: pc {fast}'s done waited for the sleep: {datagrams:#?}"
             );
         }
+    }
+
+    #[test]
+    fn a_start_the_filter_drops_still_sends_the_held_back_done() {
+        // Only `done`s pass, so no `start` reaches the sink to carry
+        // them; the filtered `start` of pc 1 must still send pc 0's
+        // `done` before pc 1 runs, not at the end of the run.
+        let plan = parse_plan("X_0:int := sql.mvc();\nalarm.sleep(1:int);\n").unwrap();
+        let link = ChaosLink::new(ChaosConfig::clean(6));
+        let rx = link.receiver();
+        let profiler = ProfilerConfig {
+            sink: udp_sink(&link),
+            filter: FilterOptions::all().with_status(EventStatus::Done),
+        };
+        let opts = ExecOptions::profiled(profiler);
+        Interpreter::new(Arc::new(Catalog::new()))
+            .execute(&plan, &opts)
+            .unwrap();
+        drop((opts, link));
+        let datagrams = drain(&rx);
+        let pcs: Vec<Vec<usize>> = datagrams
+            .iter()
+            .map(|d| d.iter().flatten().map(|e| e.pc).collect())
+            .collect();
+        assert_eq!(pcs, vec![vec![0], vec![1]], "{datagrams:#?}");
     }
 
     #[test]

@@ -97,13 +97,6 @@ impl DataflowGraph {
         (0..self.n).filter(|&i| self.succs[i].is_empty()).collect()
     }
 
-    /// A topological order. Because producers always precede consumers in
-    /// a valid single-assignment plan, pc order *is* topological; this
-    /// verifies it and is used by tests and the scheduler.
-    pub fn topo_order(&self) -> Vec<usize> {
-        (0..self.n).collect()
-    }
-
     /// Longest-path depth of each node (root = 0). This is the "level"
     /// Stethoscope's layered drawing puts a node on.
     pub fn depths(&self) -> Vec<usize> {

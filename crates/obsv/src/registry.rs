@@ -231,7 +231,7 @@ impl Registry {
 
     /// Register (or fetch) a counter with labels.
     pub fn counter_with(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Counter {
-        match self.instrument(name, help, labels, MetricKind::Counter) {
+        match self.instrument(name, help, labels, MetricKind::Counter, &[]) {
             Instrument::Counter(c) => c,
             _ => unreachable!("kind checked in instrument()"),
         }
@@ -244,7 +244,7 @@ impl Registry {
 
     /// Register (or fetch) a gauge with labels.
     pub fn gauge_with(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Gauge {
-        match self.instrument(name, help, labels, MetricKind::Gauge) {
+        match self.instrument(name, help, labels, MetricKind::Gauge, &[]) {
             Instrument::Gauge(g) => g,
             _ => unreachable!("kind checked in instrument()"),
         }
@@ -264,40 +264,22 @@ impl Registry {
         bounds: &[f64],
         labels: &[(&str, &str)],
     ) -> Histogram {
-        let mut families = self.families.lock().unwrap();
-        let family = families.entry(name.to_string()).or_insert_with(|| Family {
-            help: help.to_string(),
-            kind: MetricKind::Histogram,
-            instruments: Vec::new(),
-        });
-        assert_eq!(
-            family.kind,
-            MetricKind::Histogram,
-            "metric `{name}` already registered as {:?}",
-            family.kind
-        );
-        let labels: LabelSet = labels
-            .iter()
-            .map(|(k, v)| (k.to_string(), v.to_string()))
-            .collect();
-        if let Some((_, Instrument::Histogram(h))) =
-            family.instruments.iter().find(|(l, _)| *l == labels)
-        {
-            return h.clone();
+        match self.instrument(name, help, labels, MetricKind::Histogram, bounds) {
+            Instrument::Histogram(h) => h,
+            _ => unreachable!("kind checked in instrument()"),
         }
-        let h = Histogram::new(bounds);
-        family
-            .instruments
-            .push((labels, Instrument::Histogram(h.clone())));
-        h
     }
 
+    /// Find the instrument registered under `name` and `labels`, or
+    /// register a new one of `kind` (a histogram with `bounds`). Panics
+    /// when `name` is already registered as another kind.
     fn instrument(
         &self,
         name: &str,
         help: &str,
         labels: &[(&str, &str)],
         kind: MetricKind,
+        bounds: &[f64],
     ) -> Instrument {
         let mut families = self.families.lock().unwrap();
         let family = families.entry(name.to_string()).or_insert_with(|| Family {
@@ -320,7 +302,7 @@ impl Registry {
         let ins = match kind {
             MetricKind::Counter => Instrument::Counter(Counter::default()),
             MetricKind::Gauge => Instrument::Gauge(Gauge::default()),
-            MetricKind::Histogram => unreachable!("histograms use histogram_with"),
+            MetricKind::Histogram => Instrument::Histogram(Histogram::new(bounds)),
         };
         family.instruments.push((labels, ins.clone()));
         ins
@@ -598,6 +580,27 @@ mod tests {
         let r = Registry::new();
         r.counter("m", "m");
         r.gauge("m", "m");
+    }
+
+    #[test]
+    fn histograms_register_through_the_same_lookup() {
+        let r = Registry::new();
+        let a = r.histogram_with("h_usec", "h", &[10.0], &[("stage", "a")]);
+        let b = r.histogram_with("h_usec", "h", &[99.0], &[("stage", "a")]);
+        a.observe(1.0);
+        b.observe(1.0);
+        assert_eq!(a.count(), 2, "same label set shares one histogram");
+        assert_eq!(b.cumulative_buckets()[0], (10.0, 2), "first bounds kept");
+        r.histogram_with("h_usec", "h", &[10.0], &[("stage", "b")]);
+        assert_eq!(r.snapshot().family("h_usec").unwrap().samples.len(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "already registered")]
+    fn histogram_kind_mismatch_panics() {
+        let r = Registry::new();
+        r.gauge("m", "m");
+        r.histogram("m", "m", &[1.0]);
     }
 
     #[test]

@@ -38,7 +38,6 @@
 use std::collections::{HashMap, VecDeque};
 use std::net::SocketAddr;
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -169,6 +168,8 @@ struct LinkState {
     sources: HashMap<SocketAddr, SourceAcct>,
     open_endpoints: usize,
     endpoints_ever: usize,
+    /// The receiving side was closed: deliver what is queued, then end.
+    closed: bool,
     next_port: u16,
     report: ChaosReport,
 }
@@ -176,15 +177,6 @@ struct LinkState {
 struct Shared {
     state: Mutex<LinkState>,
     cv: Condvar,
-}
-
-/// Error from [`ChaosReceiver::recv_timeout`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ChaosRecvError {
-    /// Nothing arrived within the timeout; the link is still open.
-    Timeout,
-    /// Every endpoint is gone and the queues are drained.
-    Closed,
 }
 
 /// A deterministic, faulty, in-memory datagram link.
@@ -206,6 +198,7 @@ impl ChaosLink {
                     sources: HashMap::new(),
                     open_endpoints: 0,
                     endpoints_ever: 0,
+                    closed: false,
                     next_port: 41000,
                     report: ChaosReport::default(),
                 }),
@@ -401,34 +394,39 @@ fn release_one(st: &mut LinkState, p: Pending) {
     st.queue.push_back((p.source, p.bytes));
 }
 
-/// Receiving side of a [`ChaosLink`].
+/// Receiving side of a [`ChaosLink`]. Handles share one queue.
+#[derive(Clone)]
 pub struct ChaosReceiver {
     shared: Arc<Shared>,
 }
 
 impl ChaosReceiver {
-    /// Wait up to `timeout` for the next datagram.
-    pub fn recv_timeout(&self, timeout: Duration) -> Result<(SocketAddr, Vec<u8>), ChaosRecvError> {
-        let deadline = Instant::now() + timeout;
-        let mut st = self.shared.state.lock().expect("chaos link poisoned");
-        loop {
-            if let Some(dg) = st.queue.pop_front() {
-                return Ok(dg);
-            }
-            if st.endpoints_ever > 0 && st.open_endpoints == 0 && st.pending.is_empty() {
-                return Err(ChaosRecvError::Closed);
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(ChaosRecvError::Timeout);
-            }
-            let (guard, _) = self
-                .shared
-                .cv
-                .wait_timeout(st, deadline - now)
-                .expect("chaos link poisoned");
-            st = guard;
-        }
+    /// Block for the next datagram. `None` once the link has ended and
+    /// everything queued is delivered: every endpoint is gone, or
+    /// [`ChaosReceiver::close`] was called.
+    pub fn recv(&self) -> Option<(SocketAddr, Vec<u8>)> {
+        let st = self.shared.state.lock().expect("chaos link poisoned");
+        let mut st = self
+            .shared
+            .cv
+            .wait_while(st, |st| {
+                st.queue.is_empty()
+                    && !st.closed
+                    && !(st.endpoints_ever > 0 && st.open_endpoints == 0 && st.pending.is_empty())
+            })
+            .expect("chaos link poisoned");
+        st.queue.pop_front()
+    }
+
+    /// Close the receiving side: datagrams already queued are still
+    /// delivered, then [`ChaosReceiver::recv`] returns `None`.
+    pub fn close(&self) {
+        self.shared
+            .state
+            .lock()
+            .expect("chaos link poisoned")
+            .closed = true;
+        self.shared.cv.notify_all();
     }
 }
 
@@ -437,15 +435,7 @@ mod tests {
     use super::*;
 
     fn drain(rx: &ChaosReceiver) -> Vec<(SocketAddr, Vec<u8>)> {
-        let mut got = Vec::new();
-        loop {
-            match rx.recv_timeout(Duration::from_millis(50)) {
-                Ok(dg) => got.push(dg),
-                Err(ChaosRecvError::Closed) => break,
-                Err(ChaosRecvError::Timeout) => panic!("link neither closed nor delivering"),
-            }
-        }
-        got
+        std::iter::from_fn(|| rx.recv()).collect()
     }
 
     #[test]

@@ -4,9 +4,11 @@
 //! [`Reassembler`] restores per-source order with a bounded reorder
 //! buffer, suppresses duplicates, and converts unrecoverable gaps into
 //! explicit [`ReassemblyOut::Lost`] items instead of wedging the
-//! consumer. [`StreamDecoder`] layers the wire decoding, filtering, and
+//! consumer. [`StreamDecoder`] layers the wire decoding and
 //! [`StreamItem`] conversion on top, and feeds the shared
 //! [`TransportCounters`] that back the [`TransportStats`] snapshot.
+//! Nothing here filters events: each server's profiler already sent
+//! only what its filter accepts.
 //!
 //! Loss-recovery state machine (per source):
 //!
@@ -30,10 +32,8 @@ use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
 use serde::Serialize;
 
-use crate::filter::FilterOptions;
 use crate::format::parse_event;
 use crate::udp::StreamItem;
 use crate::wire::{decode_datagram, DecodedDatagram, FrameBody, FRAME_PREFIX};
@@ -270,41 +270,26 @@ struct SourceState {
 }
 
 /// Decodes raw datagrams from any number of sources into ordered
-/// [`StreamItem`]s: wire decoding → reassembly → event parsing →
-/// filtering. Pure and synchronous, so tests can drive it without
-/// sockets or threads.
+/// [`StreamItem`]s: wire decoding → reassembly → event parsing. Pure and
+/// synchronous, so tests can drive it without sockets or threads.
 pub struct StreamDecoder {
     window: usize,
     sources: HashMap<SocketAddr, SourceState>,
-    filters: Arc<Mutex<HashMap<SocketAddr, FilterOptions>>>,
-    default_filter: Arc<Mutex<FilterOptions>>,
     counters: Arc<TransportCounters>,
 }
 
 impl StreamDecoder {
-    /// Standalone decoder with an accept-all filter.
+    /// Standalone decoder with counters of its own.
     pub fn new(window: usize) -> Self {
-        StreamDecoder::with_shared(
-            window,
-            Arc::new(Mutex::new(HashMap::new())),
-            Arc::new(Mutex::new(FilterOptions::all())),
-            Arc::new(TransportCounters::default()),
-        )
+        StreamDecoder::with_counters(window, Arc::default())
     }
 
-    /// Decoder wired to externally shared filters and counters (the
-    /// form [`crate::udp::TextualStethoscope`] uses).
-    pub fn with_shared(
-        window: usize,
-        filters: Arc<Mutex<HashMap<SocketAddr, FilterOptions>>>,
-        default_filter: Arc<Mutex<FilterOptions>>,
-        counters: Arc<TransportCounters>,
-    ) -> Self {
+    /// Decoder feeding externally shared counters (the form
+    /// [`crate::udp::TextualStethoscope`] uses).
+    pub fn with_counters(window: usize, counters: Arc<TransportCounters>) -> Self {
         StreamDecoder {
             window: window.max(1),
             sources: HashMap::new(),
-            filters,
-            default_filter,
             counters,
         }
     }
@@ -447,9 +432,7 @@ impl StreamDecoder {
             FrameBody::DotLine { line } => Some(StreamItem::DotLine { source, line }),
             FrameBody::DotEnd => Some(StreamItem::DotEnd { source }),
             FrameBody::Event { line } => match parse_event(&line) {
-                Ok(event) => self
-                    .accepts(source, &event)
-                    .then_some(StreamItem::Event { source, event }),
+                Ok(event) => Some(StreamItem::Event { source, event }),
                 Err(_) => {
                     self.counters.add(&self.counters.garbled, 1);
                     Some(StreamItem::Garbled { source, line })
@@ -467,14 +450,6 @@ impl StreamDecoder {
                 }
             }
             FrameBody::Heartbeat => None,
-        }
-    }
-
-    fn accepts(&self, source: SocketAddr, event: &crate::event::TraceEvent) -> bool {
-        let map = self.filters.lock();
-        match map.get(&source) {
-            Some(f) => f.accepts(event),
-            None => self.default_filter.lock().accepts(event),
         }
     }
 
@@ -515,9 +490,7 @@ impl StreamDecoder {
             return Some(StreamItem::EndOfTrace { source });
         }
         match parse_event(trimmed) {
-            Ok(event) => self
-                .accepts(source, &event)
-                .then_some(StreamItem::Event { source, event }),
+            Ok(event) => Some(StreamItem::Event { source, event }),
             Err(_) => {
                 self.counters.add(&self.counters.garbled, 1);
                 Some(StreamItem::Garbled {
