@@ -4,12 +4,16 @@
 //! streaming variant (A2), and the §6 gradient extension (X1). C2
 //! (color-coded monitoring) is the combination measured end-to-end in
 //! `online_session`.
+//!
+//! Every mean is upserted into the `BENCH_engine.json` ledger at the
+//! repository root.
 
 use std::collections::HashMap;
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use criterion::{criterion_group, BenchmarkId, Criterion, Throughput};
+use stetho_bench::ledger::{self, text};
 use stetho_bench::synthetic_trace;
-use stetho_core::{ElisionWindow, GradientColoring, PairElision, ThresholdColoring};
+use stetho_core::{ColorState, ElisionWindow, GradientColoring, PairElision, ThresholdColoring};
 
 fn bench_pair_elision(c: &mut Criterion) {
     let mut group = c.benchmark_group("coloring/pair_elision");
@@ -40,8 +44,8 @@ fn bench_incremental_push(c: &mut Criterion) {
     // iteration pushes the next event of a long trace, so the window
     // slides and evicts as it does online.
     let trace = synthetic_trace(4096, 4, 7);
-    let mut window = ElisionWindow::new(256);
-    let mut painted = HashMap::new();
+    let mut window = ElisionWindow::new(256, trace.len() / 2);
+    let mut painted = vec![ColorState::Uncolored; trace.len() / 2];
     let mut changes = Vec::new();
     let mut next = trace.iter().cycle();
     c.bench_function("coloring/incremental_push_256", |b| {
@@ -49,13 +53,9 @@ fn bench_incremental_push(c: &mut Criterion) {
             let e = next.next().expect("cycle never ends");
             window.push(e.pc, e.status);
             changes.clear();
-            window.changes(&painted, &mut changes);
+            window.changes(|pc| painted[pc], &mut changes);
             for ch in &changes {
-                if ch.state == stetho_core::ColorState::Uncolored {
-                    painted.remove(&ch.pc);
-                } else {
-                    painted.insert(ch.pc, ch.state);
-                }
+                painted[ch.pc] = ch.state;
             }
             changes.len()
         })
@@ -67,11 +67,11 @@ fn bench_threshold(c: &mut Criterion) {
     let mut group = c.benchmark_group("coloring/threshold");
     group.throughput(Throughput::Elements(events.len() as u64));
     for threshold in [100u64, 1_000, 10_000] {
-        let mut probe = ThresholdColoring::new(threshold);
+        let mut probe = ThresholdColoring::new(threshold, events.len() / 2);
         let flagged = events
             .iter()
             .filter_map(|e| probe.on_event(e))
-            .filter(|c| matches!(c.state, stetho_core::ColorState::Red))
+            .filter(|c| matches!(c.state, ColorState::Red))
             .count();
         eprintln!("[threshold_coloring] {threshold}µs flags {flagged} instructions");
         group.bench_with_input(
@@ -79,7 +79,7 @@ fn bench_threshold(c: &mut Criterion) {
             &threshold,
             |b, &t| {
                 b.iter(|| {
-                    let mut alg = ThresholdColoring::new(t);
+                    let mut alg = ThresholdColoring::new(t, events.len() / 2);
                     events.iter().filter_map(|e| alg.on_event(e)).count()
                 })
             },
@@ -92,7 +92,7 @@ fn bench_gradient(c: &mut Criterion) {
     let events = synthetic_trace(5_000, 4, 9);
     c.bench_function("coloring/gradient", |b| {
         b.iter(|| {
-            let mut g = GradientColoring::new();
+            let mut g = GradientColoring::new(events.len() / 2);
             events.iter().filter_map(|e| g.on_event(e)).count()
         })
     });
@@ -104,4 +104,17 @@ criterion_group! {
     targets = bench_pair_elision, bench_pair_elision_diff, bench_incremental_push,
         bench_threshold, bench_gradient
 }
-criterion_main!(benches);
+
+/// Map one criterion report path to its ledger descriptor fields.
+fn describe(name: &str) -> Option<Vec<(String, serde_json::Value)>> {
+    let algorithm = name.strip_prefix("coloring/")?.split('/').next()?;
+    Some(vec![
+        ("bench".to_string(), text("coloring")),
+        ("algorithm".to_string(), text(algorithm)),
+    ])
+}
+
+fn main() {
+    benches();
+    ledger::record(describe);
+}

@@ -196,34 +196,46 @@ struct PcChain {
 /// evicted event's (its done loses its start). `push` marks those
 /// dirty; [`ElisionWindow::changes`] re-folds only the dirty pcs, each
 /// over its own events. For streams with a bounded number of events per
-/// pc both are amortised O(1), and neither allocates once the ring and
-/// the pc map have grown to the window's size.
+/// pc both are amortised O(1), and neither allocates once the ring has
+/// grown to the window's size.
+///
+/// The chains are a table over the plan's pcs `0..pcs`. An event with a
+/// pc outside it still takes its place in the window, so its neighbours
+/// classify as in the batch analysis, but it has no chain and no class:
+/// it is never reported and [`ElisionWindow::state`] reads `Uncolored`.
 ///
 /// `changes` reports exactly what `PairElision.diff(window, painted)`
-/// reports, reverts and evictions included, when `painted` holds what
-/// the previous `changes` reported (or is empty and no `changes` ran
-/// yet). The machine is `Clone`, so a replay can snapshot and restore
-/// it, and an unbounded capacity turns it into the analysis of a prefix.
+/// reports for the plan's pcs, reverts and evictions included, when
+/// `painted` holds what the previous `changes` reported (or nothing and
+/// no `changes` ran yet). The machine is `Clone`, so a replay can
+/// snapshot and restore it, and an unbounded capacity turns it into the
+/// analysis of a prefix.
 #[derive(Debug, Clone)]
 pub struct ElisionWindow {
     capacity: usize,
     /// Stream index of `ring[0]`.
     head: u64,
     ring: VecDeque<WindowSlot>,
-    pcs: HashMap<usize, PcChain>,
+    chains: Vec<PcChain>,
     dirty: Vec<usize>,
     evicted: u64,
 }
 
 impl ElisionWindow {
-    /// A window over the last `capacity` events. Capacity 0 is clamped to
-    /// 1, as in [`stetho_profiler::SampleBuffer`].
-    pub fn new(capacity: usize) -> Self {
+    /// A window over the last `capacity` events of a plan with `pcs`
+    /// instructions. Capacity 0 is clamped to 1, as in
+    /// [`stetho_profiler::SampleBuffer`].
+    pub fn new(capacity: usize, pcs: usize) -> Self {
+        let chain = PcChain {
+            first: NONE,
+            last: NONE,
+            dirty: false,
+        };
         ElisionWindow {
             capacity: capacity.max(1),
             head: 0,
             ring: VecDeque::new(),
-            pcs: HashMap::new(),
+            chains: vec![chain; pcs],
             dirty: Vec::new(),
             evicted: 0,
         }
@@ -250,7 +262,9 @@ impl ElisionWindow {
             let old = self.ring.pop_front().expect("a full window is not empty");
             self.head += 1;
             self.evicted += 1;
-            self.chain(old.pc).first = old.next;
+            if let Some(chain) = self.chains.get_mut(old.pc) {
+                chain.first = old.next;
+            }
             self.mark(old.pc);
         }
         if let Some(prev) = self.ring.back() {
@@ -262,7 +276,9 @@ impl ElisionWindow {
             status,
             next: NONE,
         });
-        let chain = self.chain(pc);
+        let Some(chain) = self.chains.get_mut(pc) else {
+            return;
+        };
         let last = (chain.first != NONE).then_some(chain.last);
         if chain.first == NONE {
             chain.first = at;
@@ -276,25 +292,17 @@ impl ElisionWindow {
     }
 
     /// Append to `out`, in pc order, every dirty pc whose class differs
-    /// from `painted` (a pc absent from `painted` counts as
-    /// `Uncolored`), and clear the dirty set.
-    pub fn changes(&mut self, painted: &HashMap<usize, ColorState>, out: &mut Vec<ColorChange>) {
-        let mut dirty = std::mem::take(&mut self.dirty);
-        dirty.sort_unstable();
-        for &pc in &dirty {
+    /// from `painted(pc)`, and clear the dirty set.
+    pub fn changes(&mut self, painted: impl Fn(usize) -> ColorState, out: &mut Vec<ColorChange>) {
+        self.dirty.sort_unstable();
+        for &pc in &self.dirty {
             let state = self.state(pc);
-            if state != painted.get(&pc).copied().unwrap_or(ColorState::Uncolored) {
+            if state != painted(pc) {
                 out.push(ColorChange { pc, state });
             }
-            let chain = self.pcs.get_mut(&pc).expect("dirty pcs have a chain");
-            if chain.first == NONE {
-                self.pcs.remove(&pc);
-            } else {
-                chain.dirty = false;
-            }
+            self.chains[pc].dirty = false;
         }
-        dirty.clear();
-        self.dirty = dirty;
+        self.dirty.clear();
     }
 
     /// The pair-elision class of `pc` over the current window, as
@@ -302,7 +310,7 @@ impl ElisionWindow {
     pub fn state(&self, pc: usize) -> ColorState {
         let end = self.head + self.ring.len() as u64;
         let mut state = None;
-        let mut at = self.pcs.get(&pc).map_or(NONE, |c| c.first);
+        let mut at = self.chains.get(pc).map_or(NONE, |c| c.first);
         while at != NONE {
             let slot = self.slot(at);
             match slot.status {
@@ -342,17 +350,8 @@ impl ElisionWindow {
         self.ring[(at - self.head) as usize]
     }
 
-    fn chain(&mut self, pc: usize) -> &mut PcChain {
-        self.pcs.entry(pc).or_insert(PcChain {
-            first: NONE,
-            last: NONE,
-            dirty: false,
-        })
-    }
-
     fn mark(&mut self, pc: usize) {
-        let chain = self.chain(pc);
-        if !chain.dirty {
+        if let Some(chain) = self.chains.get_mut(pc).filter(|c| !c.dirty) {
             chain.dirty = true;
             self.dirty.push(pc);
         }
@@ -361,66 +360,56 @@ impl ElisionWindow {
 
 /// The second §4.2.1 algorithm: "another algorithm which allows the user
 /// to specify an instruction execution threshold time". Tracks running
-/// instructions across calls (streaming, not buffer-bound).
+/// instructions across calls (streaming, not buffer-bound), over a table
+/// of the plan's pcs; events of other pcs are ignored.
 #[derive(Debug, Clone)]
 pub struct ThresholdColoring {
     /// Threshold in microseconds.
     pub threshold_usec: u64,
-    running: HashMap<usize, u64>, // pc -> start clk
-    states: HashMap<usize, ColorState>,
+    /// (pc, start clk) of each running instruction, so a tick costs what
+    /// runs, not the plan.
+    running: Vec<(usize, u64)>,
+    states: Vec<ColorState>,
 }
 
 impl ThresholdColoring {
-    /// New with a user threshold.
-    pub fn new(threshold_usec: u64) -> Self {
+    /// New with a user threshold, for a plan with `pcs` instructions.
+    pub fn new(threshold_usec: u64, pcs: usize) -> Self {
         ThresholdColoring {
             threshold_usec,
-            running: HashMap::new(),
-            states: HashMap::new(),
+            running: Vec::new(),
+            states: vec![ColorState::Uncolored; pcs],
         }
     }
 
     /// Feed one event; returns a state change if one occurred.
     pub fn on_event(&mut self, e: &TraceEvent) -> Option<ColorChange> {
-        match e.status {
-            EventStatus::Start => {
-                self.running.insert(e.pc, e.clk);
-                None
-            }
-            EventStatus::Done => {
-                self.running.remove(&e.pc);
-                let state = if e.usec >= self.threshold_usec {
-                    // Costly: highlight RED (it stays highlighted so the
-                    // analyst can find it later).
-                    ColorState::Red
-                } else {
-                    ColorState::Uncolored
-                };
-                let prev = self
-                    .states
-                    .insert(e.pc, state)
-                    .unwrap_or(ColorState::Uncolored);
-                (prev != state).then_some(ColorChange { pc: e.pc, state })
-            }
+        let prev = self.states.get_mut(e.pc)?;
+        self.running.retain(|&(pc, _)| pc != e.pc);
+        if e.status == EventStatus::Start {
+            self.running.push((e.pc, e.clk));
+            return None;
         }
+        let state = if e.usec >= self.threshold_usec {
+            // Costly: highlight RED (it stays highlighted so the
+            // analyst can find it later).
+            ColorState::Red
+        } else {
+            ColorState::Uncolored
+        };
+        (std::mem::replace(prev, state) != state).then_some(ColorChange { pc: e.pc, state })
     }
 
     /// Poll at current stream time: instructions running longer than the
     /// threshold turn RED before their `done` arrives.
     pub fn on_tick(&mut self, now_clk: u64) -> Vec<ColorChange> {
         let mut changes = Vec::new();
-        for (&pc, &started) in &self.running {
-            if now_clk.saturating_sub(started) >= self.threshold_usec
-                && self.states.get(&pc) != Some(&ColorState::Red)
-            {
-                changes.push(ColorChange {
-                    pc,
-                    state: ColorState::Red,
-                });
+        for &(pc, started) in &self.running {
+            let state = &mut self.states[pc];
+            if now_clk.saturating_sub(started) >= self.threshold_usec && *state != ColorState::Red {
+                *state = ColorState::Red;
+                changes.push(ColorChange { pc, state: *state });
             }
-        }
-        for c in &changes {
-            self.states.insert(c.pc, c.state);
         }
         changes.sort_by_key(|c| c.pc);
         changes
@@ -429,7 +418,7 @@ impl ThresholdColoring {
     /// Current state of a node.
     pub fn state(&self, pc: usize) -> ColorState {
         self.states
-            .get(&pc)
+            .get(pc)
             .copied()
             .unwrap_or(ColorState::Uncolored)
     }
@@ -437,17 +426,21 @@ impl ThresholdColoring {
 
 /// The §6 future-work extension: "gradient coloring of graph nodes to
 /// display a range of execution times". Durations map onto a
-/// default-fill→RED ramp, scaled by the observed maximum.
-#[derive(Debug, Clone, Default)]
+/// default-fill→RED ramp, scaled by the observed maximum. Events of pcs
+/// outside the plan are ignored.
+#[derive(Debug, Clone)]
 pub struct GradientColoring {
     max_usec: u64,
-    durations: HashMap<usize, u64>,
+    durations: Vec<Option<u64>>,
 }
 
 impl GradientColoring {
-    /// Empty gradient state.
-    pub fn new() -> Self {
-        Self::default()
+    /// Empty gradient state for a plan with `pcs` instructions.
+    pub fn new(pcs: usize) -> Self {
+        GradientColoring {
+            max_usec: 0,
+            durations: vec![None; pcs],
+        }
     }
 
     /// Feed one event; `done` events update the node's gradient. A new
@@ -457,8 +450,8 @@ impl GradientColoring {
         if e.status != EventStatus::Done {
             return None;
         }
+        *self.durations.get_mut(e.pc)? = Some(e.usec);
         self.max_usec = self.max_usec.max(e.usec.max(1));
-        self.durations.insert(e.pc, e.usec);
         Some(ColorChange {
             pc: e.pc,
             state: self.state(e.pc),
@@ -467,8 +460,8 @@ impl GradientColoring {
 
     /// Current gradient of a node, rescaled to the latest maximum.
     pub fn state(&self, pc: usize) -> ColorState {
-        match self.durations.get(&pc) {
-            Some(&usec) => ColorState::Gradient {
+        match self.durations.get(pc).copied().flatten() {
+            Some(usec) => ColorState::Gradient {
                 t: usec as f64 / self.max_usec.max(1) as f64,
             },
             None => ColorState::Uncolored,
@@ -600,6 +593,25 @@ mod tests {
     }
 
     #[test]
+    fn out_of_plan_pcs_hold_a_place_but_have_no_class() {
+        // Plan pcs 0..4. pc 9's start sits between pc 1's start and
+        // done, so pc 1 does not elide, as in the batch analysis; pc 9
+        // itself gets no class and no change.
+        let buffer = [start(1), start(9), done(1), start(2)];
+        let mut w = ElisionWindow::new(8, 4);
+        for e in &buffer {
+            w.push(e.pc, e.status);
+        }
+        assert_eq!(w.state(1), ColorState::Green);
+        assert_eq!(w.state(9), ColorState::Uncolored);
+        let mut changes = Vec::new();
+        w.changes(|_| ColorState::Uncolored, &mut changes);
+        let batch = PairElision.diff(&buffer, &HashMap::new());
+        assert_eq!(batch.len(), 2, "{batch:?}");
+        assert_eq!(changes, batch[..1]);
+    }
+
+    #[test]
     fn color_state_fill_mapping() {
         assert_eq!(ColorState::Red.fill(), Color::RED);
         assert_eq!(ColorState::Green.fill(), Color::GREEN);
@@ -612,7 +624,7 @@ mod tests {
 
     #[test]
     fn threshold_marks_slow_done_events() {
-        let mut t = ThresholdColoring::new(100);
+        let mut t = ThresholdColoring::new(100, 8);
         let mut e = done(4);
         e.usec = 250;
         let c = t.on_event(&e).unwrap();
@@ -628,7 +640,7 @@ mod tests {
 
     #[test]
     fn threshold_tick_flags_long_running_before_done() {
-        let mut t = ThresholdColoring::new(1000);
+        let mut t = ThresholdColoring::new(1000, 8);
         let mut s = start(7);
         s.clk = 0;
         t.on_event(&s);
@@ -643,7 +655,7 @@ mod tests {
 
     #[test]
     fn gradient_scales_with_max() {
-        let mut g = GradientColoring::new();
+        let mut g = GradientColoring::new(4);
         let mut e1 = done(1);
         e1.usec = 10;
         let c1 = g.on_event(&e1).unwrap();

@@ -6,8 +6,6 @@
 //! complete, and a critical-path-based remaining-work estimate using the
 //! plan's dataflow depths.
 
-use std::collections::HashMap;
-
 use serde::Serialize;
 use stetho_mal::{DataflowGraph, Plan};
 use stetho_profiler::{EventStatus, TraceEvent};
@@ -26,13 +24,12 @@ pub enum InstrState {
     Lost,
 }
 
-/// Live progress over one plan execution.
+/// Live progress over one plan execution: one state per plan pc.
 #[derive(Debug, Clone)]
 pub struct ProgressModel {
-    total: usize,
     depths: Vec<usize>,
     max_depth: usize,
-    state: HashMap<usize, InstrState>,
+    state: Vec<InstrState>,
     done: usize,
     running: usize,
     lost: usize,
@@ -70,10 +67,9 @@ impl ProgressModel {
         let depths = DataflowGraph::from_plan(plan).depths();
         let max_depth = depths.iter().copied().max().unwrap_or(0);
         ProgressModel {
-            total: plan.len(),
             depths,
             max_depth,
-            state: HashMap::new(),
+            state: vec![InstrState::Pending; plan.len()],
             done: 0,
             running: 0,
             lost: 0,
@@ -88,37 +84,29 @@ impl ProgressModel {
     /// also ignored: `Done` is sticky, so the instruction is never
     /// double-counted and the fraction stays within `[0, 1]`.
     pub fn on_event(&mut self, e: &TraceEvent) {
-        if e.pc >= self.total {
+        let Some(state) = self.state.get_mut(e.pc) else {
+            return;
+        };
+        self.last_clk = self.last_clk.max(e.clk);
+        let next = match e.status {
+            EventStatus::Start if *state == InstrState::Done => return,
+            EventStatus::Start => InstrState::Running,
+            EventStatus::Done => InstrState::Done,
+        };
+        let prev = std::mem::replace(state, next);
+        if prev == next {
             return;
         }
-        self.last_clk = self.last_clk.max(e.clk);
-        match e.status {
-            EventStatus::Start => {
-                let prev = self.state.get(&e.pc).copied();
-                if prev == Some(InstrState::Done) {
-                    return;
-                }
-                self.state.insert(e.pc, InstrState::Running);
-                if prev == Some(InstrState::Lost) {
-                    self.lost -= 1;
-                }
-                if prev != Some(InstrState::Running) {
-                    self.running += 1;
-                }
-            }
-            EventStatus::Done => {
-                let prev = self.state.insert(e.pc, InstrState::Done);
-                if prev == Some(InstrState::Running) {
-                    self.running -= 1;
-                }
-                if prev == Some(InstrState::Lost) {
-                    self.lost -= 1;
-                }
-                if prev != Some(InstrState::Done) {
-                    self.done += 1;
-                    self.total_usec_done += e.usec;
-                }
-            }
+        match prev {
+            InstrState::Running => self.running -= 1,
+            InstrState::Lost => self.lost -= 1,
+            InstrState::Pending | InstrState::Done => {}
+        }
+        if next == InstrState::Running {
+            self.running += 1;
+        } else {
+            self.done += 1;
+            self.total_usec_done += e.usec;
         }
     }
 
@@ -126,42 +114,38 @@ impl ProgressModel {
     /// toward completion so the session can converge, but keeps its own
     /// state. A later (reordered) event for the pc revives it.
     pub fn mark_lost(&mut self, pc: usize) {
-        if pc >= self.total {
+        let Some(state) = self.state.get_mut(pc) else {
             return;
+        };
+        match *state {
+            InstrState::Done | InstrState::Lost => return,
+            InstrState::Running => self.running -= 1,
+            InstrState::Pending => {}
         }
-        let prev = self.state.get(&pc).copied();
-        if matches!(prev, Some(InstrState::Done) | Some(InstrState::Lost)) {
-            return;
-        }
-        if prev == Some(InstrState::Running) {
-            self.running -= 1;
-        }
-        self.state.insert(pc, InstrState::Lost);
+        *state = InstrState::Lost;
         self.lost += 1;
     }
 
     /// State of one instruction.
     pub fn state_of(&self, pc: usize) -> InstrState {
-        self.state.get(&pc).copied().unwrap_or(InstrState::Pending)
+        self.state.get(pc).copied().unwrap_or(InstrState::Pending)
     }
 
     /// Current snapshot.
     pub fn snapshot(&self) -> ProgressSnapshot {
-        // Wavefront: deepest level with every instruction settled
-        // (done, or written off to a transport gap).
-        let mut completed_depth = 0;
-        'levels: for level in 0..=self.max_depth {
-            for pc in 0..self.total {
-                if self.depths.get(pc) == Some(&level)
-                    && !matches!(self.state_of(pc), InstrState::Done | InstrState::Lost)
-                {
-                    break 'levels;
-                }
-            }
-            completed_depth = level + 1;
-        }
+        // Wavefront: the levels below the shallowest instruction not yet
+        // settled (done, or written off to a transport gap).
+        let completed_depth = self
+            .state
+            .iter()
+            .zip(&self.depths)
+            .filter(|(state, _)| !matches!(state, InstrState::Done | InstrState::Lost))
+            .map(|(_, &depth)| depth)
+            .min()
+            .unwrap_or(self.max_depth + 1);
+        let total = self.state.len();
         let settled = self.done + self.lost;
-        let remaining = self.total.saturating_sub(settled);
+        let remaining = total.saturating_sub(settled);
         let eta_usec = if self.done > 0 && remaining > 0 {
             Some(self.total_usec_done / self.done as u64 * remaining as u64)
         } else if remaining == 0 {
@@ -170,16 +154,16 @@ impl ProgressModel {
             None
         };
         ProgressSnapshot {
-            total: self.total,
+            total,
             done: self.done,
             running: self.running,
             lost: self.lost,
-            fraction: if self.total == 0 {
+            fraction: if total == 0 {
                 1.0
             } else {
-                settled as f64 / self.total as f64
+                settled as f64 / total as f64
             },
-            completed_depth: completed_depth.min(self.max_depth + 1),
+            completed_depth,
             depth_levels: self.max_depth + 1,
             clk: self.last_clk,
             eta_usec,

@@ -15,6 +15,7 @@ use std::collections::HashMap;
 use stetho_profiler::{EventStatus, TraceEvent};
 
 use crate::color::{ColorState, PairElision};
+use crate::mapping::PcIndex;
 
 /// Observed runtime state of one plan node during replay.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -60,10 +61,13 @@ pub struct ReplayController {
     /// Virtual trace-clock position (usec, same scale as `clk`).
     clock: f64,
     play: PlayState,
-    nodes: HashMap<usize, NodeRuntime>,
-    /// Snapshots of `nodes` every `snapshot_every` events for rewind: at
+    /// The pcs with a runtime; events of other pcs move only the cursor.
+    pcs: PcIndex,
+    /// One runtime per slot of `pcs`.
+    nodes: Vec<NodeRuntime>,
+    /// Copies of `nodes` every `snapshot_every` events for rewind: at
     /// most one per position, sorted by position, the first at 0.
-    snapshots: Vec<(usize, HashMap<usize, NodeRuntime>)>,
+    snapshots: Vec<(usize, Vec<NodeRuntime>)>,
     snapshot_every: usize,
 }
 
@@ -113,19 +117,25 @@ pub fn repair_lost_dones(events: &[TraceEvent]) -> Vec<TraceEvent> {
 }
 
 impl ReplayController {
-    /// Load a trace for replay.
+    /// Load a trace for replay, keeping a runtime for each of its pcs.
     pub fn new(events: Vec<TraceEvent>) -> Self {
-        let mut rc = ReplayController {
+        let pcs = PcIndex::new(events.iter().map(|e| e.pc));
+        Self::over(events, pcs)
+    }
+
+    /// Load a trace for replay, keeping a runtime for each of `pcs`.
+    pub(crate) fn over(events: Vec<TraceEvent>, pcs: PcIndex) -> Self {
+        let nodes = vec![NodeRuntime::default(); pcs.pcs().len()];
+        ReplayController {
+            clock: events.first().map(|e| e.clk as f64).unwrap_or(0.0),
             events,
             cursor: 0,
-            clock: 0.0,
             play: PlayState::Paused,
-            nodes: HashMap::new(),
-            snapshots: vec![(0, HashMap::new())],
+            pcs,
+            snapshots: vec![(0, nodes.clone())],
+            nodes,
             snapshot_every: 256,
-        };
-        rc.clock = rc.events.first().map(|e| e.clk as f64).unwrap_or(0.0);
-        rc
+        }
     }
 
     /// All events.
@@ -160,12 +170,14 @@ impl ReplayController {
 
     /// Observed state of one node.
     pub fn node(&self, pc: usize) -> NodeRuntime {
-        self.nodes.get(&pc).copied().unwrap_or_default()
+        let slot = self.pcs.slot(pc);
+        slot.map_or_else(NodeRuntime::default, |s| self.nodes[s])
     }
 
-    /// All node states (for coloring whole frames).
-    pub fn nodes(&self) -> &HashMap<usize, NodeRuntime> {
-        &self.nodes
+    /// Every node state with its pc, in pc order (for coloring whole
+    /// frames).
+    pub fn nodes(&self) -> impl Iterator<Item = (usize, &NodeRuntime)> {
+        self.pcs.pcs().iter().copied().zip(&self.nodes)
     }
 
     /// Apply the next event; returns it. (§5 "step by step walk
@@ -184,7 +196,10 @@ impl ReplayController {
     /// every `snapshot_every`-th position not snapshotted yet. Replays
     /// after a rewind cross positions that already have one.
     fn advance(&mut self) {
-        apply(&mut self.nodes, &self.events[self.cursor]);
+        let e = &self.events[self.cursor];
+        if let Some(slot) = self.pcs.slot(e.pc) {
+            apply(&mut self.nodes[slot], e);
+        }
         self.cursor += 1;
         let last = self.snapshots.last().map_or(0, |(at, _)| *at);
         if self.cursor.is_multiple_of(self.snapshot_every) && self.cursor > last {
@@ -215,7 +230,7 @@ impl ReplayController {
         let i = self.snapshots.partition_point(|(at, _)| *at <= target) - 1;
         let (at, snap) = &self.snapshots[i];
         self.cursor = *at;
-        self.nodes = snap.clone();
+        self.nodes.copy_from_slice(snap);
         while self.cursor < target {
             self.step_forward();
         }
@@ -279,8 +294,7 @@ impl ReplayController {
     }
 }
 
-fn apply(nodes: &mut HashMap<usize, NodeRuntime>, e: &TraceEvent) {
-    let n = nodes.entry(e.pc).or_default();
+fn apply(n: &mut NodeRuntime, e: &TraceEvent) {
     n.thread = e.thread;
     n.rss = e.rss;
     match e.status {
@@ -382,7 +396,11 @@ mod tests {
             let mut fresh = ReplayController::new(events.clone());
             fresh.seek(target);
             assert_eq!(rc.position(), target);
-            assert_eq!(rc.nodes(), fresh.nodes(), "seek to {target}");
+            assert_eq!(
+                rc.nodes().collect::<Vec<_>>(),
+                fresh.nodes().collect::<Vec<_>>(),
+                "seek to {target}"
+            );
         }
         // Playing forward again crosses every snapshot position once more.
         rc.rewind();
@@ -400,7 +418,7 @@ mod tests {
         rc.seek(20);
         rc.rewind();
         assert_eq!(rc.position(), 0);
-        assert!(rc.nodes().is_empty() || rc.nodes().values().all(|n| n.starts == 0));
+        assert!(rc.nodes().all(|(_, n)| n.starts == 0));
     }
 
     #[test]

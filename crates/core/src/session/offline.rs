@@ -24,6 +24,7 @@ use stetho_zvtm::{Camera, EventDispatchThread};
 
 use crate::color::ColorState;
 use crate::inspect::{tooltip, ToolTip};
+use crate::mapping::PcIndex;
 use crate::metrics::SessionMetrics;
 use crate::replay::ReplayController;
 use crate::session::{PlanView, SessionError};
@@ -90,8 +91,8 @@ impl OfflineSession {
         }
         Ok(OfflineSession {
             graph,
+            replay: ReplayController::over(events, view.map.index().clone()),
             view,
-            replay: ReplayController::new(events),
             camera,
             edt: EventDispatchThread::paper_default(),
             now_ms: 0,
@@ -170,16 +171,9 @@ impl OfflineSession {
     /// event's stmt. Returns the pcs that violate it — non-empty means
     /// the dot and trace files belong to different plans.
     pub fn verify_contract(&self) -> Vec<usize> {
-        let mut bad: Vec<usize> = self
-            .replay
-            .events()
-            .iter()
-            .filter(|e| !self.view.map.stmt_matches(e.pc, &e.stmt))
-            .map(|e| e.pc)
-            .collect();
-        bad.sort_unstable();
-        bad.dedup();
-        bad
+        let events = self.replay.events().iter();
+        let bad = events.filter(|e| !self.view.map.stmt_matches(e.pc, &e.stmt));
+        PcIndex::new(bad.map(|e| e.pc)).into_pcs()
     }
 
     /// Hit-test a click in world coordinates and return the node's pc.

@@ -358,9 +358,11 @@ impl OnlineSession {
             view: None,
             trace_writer: TraceWriter::create(&cfg.trace_path)?,
             events: Vec::new(),
-            window: ElisionWindow::new(cfg.sample_capacity),
+            window: ElisionWindow::new(cfg.sample_capacity, plan.len()),
             edt: EventDispatchThread::new(cfg.pacing_ms),
-            threshold: cfg.threshold_usec.map(ThresholdColoring::new),
+            threshold: cfg
+                .threshold_usec
+                .map(|t| ThresholdColoring::new(t, plan.len())),
             progress: ProgressModel::new(&plan),
             saw_eot: false,
             lost_gaps: Vec::new(),

@@ -1,7 +1,6 @@
 //! Building blocks shared by the online, offline and multi-server modes:
 //! the plan view every mode paints on, and the "mserver" query thread.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -26,8 +25,8 @@ pub struct PlanView {
     pub space: VirtualSpace,
     /// pc ↔ node ↔ glyph resolution.
     pub map: TraceDotMap,
-    /// Non-`Uncolored` states as last enqueued on the EDT.
-    painted: HashMap<usize, ColorState>,
+    /// The state last enqueued on the EDT, per slot of `map`'s pcs.
+    painted: Vec<ColorState>,
     /// One round's changes; kept to reuse its allocation.
     changes: Vec<ColorChange>,
 }
@@ -42,10 +41,10 @@ impl PlanView {
         let mut map = TraceDotMap::from_scene(&scene);
         map.attach_glyphs(&node_glyphs);
         Ok(PlanView {
+            painted: vec![ColorState::Uncolored; map.len()],
             scene,
             space,
             map,
-            painted: HashMap::new(),
             changes: Vec::new(),
         })
     }
@@ -53,14 +52,28 @@ impl PlanView {
     /// Color `window` with pair-elision and enqueue on `edt` a fill for
     /// every node whose state differs from what is painted — including
     /// reverts to the default fill for nodes that elided or left the
-    /// window.
+    /// window. Only the map's pcs are painted.
     pub(crate) fn paint(
         &mut self,
         window: &[TraceEvent],
         edt: &mut EventDispatchThread,
         now_ms: u64,
     ) {
-        self.changes = PairElision.diff(window, &self.painted);
+        let analysed = PairElision.analyse(window);
+        self.changes.clear();
+        for (&pc, &state) in &analysed {
+            if state != self.state(pc) {
+                self.changes.push(ColorChange { pc, state });
+            }
+        }
+        let pcs = self.map.index().pcs();
+        for (&pc, &painted) in pcs.iter().zip(&self.painted) {
+            if painted != ColorState::Uncolored && !analysed.contains_key(&pc) {
+                let state = ColorState::Uncolored;
+                self.changes.push(ColorChange { pc, state });
+            }
+        }
+        self.changes.sort_unstable_by_key(|c| c.pc);
         self.apply(edt, now_ms);
     }
 
@@ -74,27 +87,31 @@ impl PlanView {
         now_ms: u64,
     ) {
         self.changes.clear();
-        window.changes(&self.painted, &mut self.changes);
+        let (index, painted) = (self.map.index(), &self.painted);
+        window.changes(
+            |pc| index.slot(pc).map_or(ColorState::Uncolored, |s| painted[s]),
+            &mut self.changes,
+        );
         self.apply(edt, now_ms);
     }
 
     /// Enqueue this round's changes and record them as painted.
     fn apply(&mut self, edt: &mut EventDispatchThread, now_ms: u64) {
         for c in &self.changes {
+            let Some(slot) = self.map.index().slot(c.pc) else {
+                continue;
+            };
             if let Some(g) = self.map.shape_of_pc(c.pc) {
                 edt.enqueue(g, c.state.fill(), now_ms);
             }
-            if c.state == ColorState::Uncolored {
-                self.painted.remove(&c.pc);
-            } else {
-                self.painted.insert(c.pc, c.state);
-            }
+            self.painted[slot] = c.state;
         }
     }
 
     /// The state last painted on a node.
     pub(crate) fn state(&self, pc: usize) -> ColorState {
-        *self.painted.get(&pc).unwrap_or(&ColorState::Uncolored)
+        let slot = self.map.index().slot(pc);
+        slot.map_or(ColorState::Uncolored, |s| self.painted[s])
     }
 }
 

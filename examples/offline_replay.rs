@@ -107,8 +107,7 @@ fn main() {
     let mut slowest: Vec<_> = session
         .replay
         .nodes()
-        .iter()
-        .map(|(&pc, rt)| (rt.total_usec, pc))
+        .map(|(pc, rt)| (rt.total_usec, pc))
         .collect();
     slowest.sort_unstable_by(|a, b| b.cmp(a));
     let mut dbg = DebugWindow::new("slowest instructions");

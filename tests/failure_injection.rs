@@ -5,7 +5,8 @@
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use stethoscope::core::OfflineSession;
+use stethoscope::core::color::{ColorState, ElisionWindow, PairElision};
+use stethoscope::core::{InstrState, OfflineSession, ProgressModel};
 use stethoscope::dot::{plan_to_dot, LabelStyle};
 use stethoscope::engine::{
     Bat, Catalog, ExecOptions, Interpreter, ProfilerConfig, TableDef, VecSink,
@@ -150,6 +151,92 @@ fn offline_session_rejects_broken_inputs() {
     assert!(OfflineSession::load_text("digraph {", "").is_err());
     assert!(OfflineSession::load_text("digraph { n0; }", "[ bogus ]").is_err());
     assert!(OfflineSession::load_files("/nonexistent/x.dot", "/nonexistent/x.trace").is_err());
+}
+
+/// pcs read from disk size no table: a dot naming huge pcs beside a
+/// valid plan, with a trace that carries them, loads, steps and seeks;
+/// the huge pcs are reported, and the plan's pcs color as the batch
+/// analysis says.
+#[test]
+fn hostile_pcs_size_no_table() {
+    const HUGE: [usize; 2] = [4_000_000_000, usize::MAX];
+    let cat = tiny_catalog();
+    let q = compile(&cat, "select v from t where k = 1").unwrap();
+    let sink = VecSink::new();
+    Interpreter::new(Arc::clone(&cat))
+        .execute(
+            &q.plan,
+            &ExecOptions::profiled(ProfilerConfig::to_sink(sink.clone())),
+        )
+        .unwrap();
+    let mut events = sink.take();
+    let stmt = "X_999 := bogus.op();";
+    let mid = events.len() / 2;
+    events.splice(
+        mid..mid,
+        [
+            TraceEvent::start(900, HUGE[0], 0, 1, 0, stmt),
+            TraceEvent::start(901, HUGE[1], 0, 2, 0, stmt),
+            TraceEvent::done(902, HUGE[0], 0, 3, 2, 0, stmt),
+        ],
+    );
+    let mut dot = plan_to_dot(&q.plan, LabelStyle::FullStatement);
+    let close = dot.rfind('}').unwrap();
+    dot.insert_str(
+        close,
+        "n4000000000 [label=\"huge\"];\nn18446744073709551615;\n",
+    );
+    let trace: Vec<String> = events.iter().map(format_event).collect();
+    let mut s = OfflineSession::load_text(&dot, &trace.join("\n")).unwrap();
+    assert_eq!(s.verify_contract(), HUGE);
+
+    let check = |s: &OfflineSession| {
+        let at = s.replay.position();
+        let expected = PairElision.analyse(&events[..at]);
+        for pc in 0..q.plan.len() {
+            let state = expected.get(&pc).copied().unwrap_or(ColorState::Uncolored);
+            assert_eq!(s.node_state(pc), state, "pc {pc} at {at}");
+        }
+    };
+    while s.step() {
+        check(&s);
+    }
+    assert_eq!(s.replay.node(HUGE[0]).dones, 1);
+    for k in [mid + 2, 1, 0] {
+        s.seek(k);
+        check(&s);
+    }
+
+    // A pc at or past the plan's end is ignored by progress, and still
+    // takes its place in the window.
+    let plan = q.plan.len();
+    let mut progress = ProgressModel::new(&q.plan);
+    let mut window = ElisionWindow::new(4, plan);
+    let mut pushed = Vec::new();
+    for (i, pc) in [0, plan, usize::MAX, 0, usize::MAX / 2 + 1, 1, plan, 1]
+        .into_iter()
+        .enumerate()
+    {
+        let e = if i % 3 == 2 {
+            TraceEvent::done(i as u64, pc, 0, i as u64, 1, 0, stmt)
+        } else {
+            TraceEvent::start(i as u64, pc, 0, i as u64, 0, stmt)
+        };
+        progress.on_event(&e);
+        progress.mark_lost(pc);
+        window.push(e.pc, e.status);
+        pushed.push(e);
+        let kept = &pushed[pushed.len().saturating_sub(4)..];
+        let expected = PairElision.analyse(kept);
+        for pc in 0..plan {
+            let state = expected.get(&pc).copied().unwrap_or(ColorState::Uncolored);
+            assert_eq!(window.state(pc), state, "pc {pc} after push {i}");
+        }
+    }
+    for pc in [plan, usize::MAX, usize::MAX / 2 + 1] {
+        assert_eq!(progress.state_of(pc), InstrState::Pending);
+    }
+    assert_eq!(progress.snapshot().total, plan);
 }
 
 #[test]

@@ -28,6 +28,11 @@ fn ev(i: usize, pc: usize, done: bool) -> TraceEvent {
     }
 }
 
+/// The state painted on `pc` (`Uncolored` when never painted).
+fn state_of(painted: &HashMap<usize, ColorState>, pc: usize) -> ColorState {
+    painted.get(&pc).copied().unwrap_or(ColorState::Uncolored)
+}
+
 /// Record a round's changes as painted, the way `PlanView` does.
 fn apply(painted: &mut HashMap<usize, ColorState>, changes: &[ColorChange]) {
     for c in changes {
@@ -55,7 +60,7 @@ proptest! {
         stream in proptest::collection::vec((0usize..6, any::<bool>()), 0..80),
     ) {
         let mut batch = SampleBuffer::new(capacity);
-        let mut window = ElisionWindow::new(capacity);
+        let mut window = ElisionWindow::new(capacity, 6);
         let mut painted_batch = HashMap::new();
         let mut painted_window = HashMap::new();
         for (i, &(pc, done)) in stream.iter().enumerate() {
@@ -68,7 +73,7 @@ proptest! {
             let snapshot = batch.snapshot();
             let expected = PairElision.diff(&snapshot, &painted_batch);
             let mut got = Vec::new();
-            window.changes(&painted_window, &mut got);
+            window.changes(|pc| state_of(&painted_window, pc), &mut got);
             prop_assert_eq!(&got, &expected, "push {} of {:?}", i, stream);
             apply(&mut painted_batch, &expected);
             apply(&mut painted_window, &got);
@@ -89,7 +94,7 @@ proptest! {
 /// first round after a late adoption still repaints every class.
 #[test]
 fn first_round_after_late_adoption_paints_the_whole_window() {
-    let mut window = ElisionWindow::new(4);
+    let mut window = ElisionWindow::new(4, 4);
     for (i, (pc, done)) in [(1, false), (2, false), (1, true), (3, false), (3, true)]
         .into_iter()
         .enumerate()
@@ -98,7 +103,7 @@ fn first_round_after_late_adoption_paints_the_whole_window() {
         window.push(e.pc, e.status);
     }
     let mut got = Vec::new();
-    window.changes(&HashMap::new(), &mut got);
+    window.changes(|_| ColorState::Uncolored, &mut got);
     // Window: start 2, done 1, start 3, done 3 (start 1 was evicted).
     assert_eq!(
         got,
@@ -114,6 +119,6 @@ fn first_round_after_late_adoption_paints_the_whole_window() {
         ]
     );
     let mut again = Vec::new();
-    window.changes(&HashMap::new(), &mut again);
+    window.changes(|_| ColorState::Uncolored, &mut again);
     assert!(again.is_empty(), "the dirty set was drained: {again:?}");
 }

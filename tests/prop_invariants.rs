@@ -5,11 +5,11 @@
 use proptest::prelude::*;
 
 use stethoscope::core::color::{ColorState, PairElision};
-use stethoscope::core::ReplayController;
+use stethoscope::core::{InstrState, ProgressModel, ReplayController};
 use stethoscope::engine::rt::RuntimeValue;
 use stethoscope::engine::{ops, Bat, Catalog, ExecCtx};
 use stethoscope::layout::{layout, LayoutOptions};
-use stethoscope::mal::Value;
+use stethoscope::mal::{parse_plan, DataflowGraph, Value};
 use stethoscope::profiler::{EventStatus, TraceEvent};
 use stethoscope::zvtm::{Camera, Color, EventDispatchThread, GlyphId};
 
@@ -192,6 +192,41 @@ proptest! {
         prop_assert_eq!(direct.position(), wandering.position());
         for pc in 0..12 {
             prop_assert_eq!(direct.node(pc), wandering.node(pc), "pc {}", pc);
+        }
+    }
+
+    /// Progress wavefront: `completed_depth` is the first dataflow level
+    /// with an instruction neither done nor lost (every level when all
+    /// are settled), after every event and write-off of a random stream
+    /// over a random plan, including pcs past its end.
+    #[test]
+    fn progress_wavefront_matches_per_level_definition(
+        inputs in proptest::collection::vec(0usize..100, 1..12),
+        ops in proptest::collection::vec((0usize..14, 0u8..3), 0..80),
+    ) {
+        // Instruction i reads an earlier one, or nothing.
+        let mut text = String::new();
+        for (i, r) in inputs.iter().enumerate() {
+            match r % (i + 1) {
+                p if p < i => text.push_str(&format!("X_{i}:int := calc.+(X_{p}, 1:int);\n")),
+                _ => text.push_str(&format!("X_{i}:int := calc.+(1:int, {i}:int);\n")),
+            }
+        }
+        let plan = parse_plan(&text).unwrap();
+        let depths = DataflowGraph::from_plan(&plan).depths();
+        let max_depth = depths.iter().copied().max().unwrap_or(0);
+        let mut m = ProgressModel::new(&plan);
+        for (clk, &(pc, op)) in ops.iter().enumerate() {
+            match op {
+                0 => m.on_event(&ev(EventStatus::Start, pc, clk as u64)),
+                1 => m.on_event(&ev(EventStatus::Done, pc, clk as u64)),
+                _ => m.mark_lost(pc),
+            }
+            let settled = |pc: usize| matches!(m.state_of(pc), InstrState::Done | InstrState::Lost);
+            let expected = (0..=max_depth)
+                .find(|&level| (0..plan.len()).any(|pc| depths[pc] == level && !settled(pc)))
+                .unwrap_or(max_depth + 1);
+            prop_assert_eq!(m.snapshot().completed_depth, expected, "after {:?}", &ops[..=clk]);
         }
     }
 
