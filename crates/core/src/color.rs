@@ -141,23 +141,36 @@ impl PairElision {
         buffer: &[TraceEvent],
         prev: &HashMap<usize, ColorState>,
     ) -> Vec<ColorChange> {
-        let analysed = self.analyse(buffer);
-        let mut v: Vec<ColorChange> = analysed
-            .iter()
-            .filter(|(pc, state)| prev.get(pc).copied().unwrap_or(ColorState::Uncolored) != **state)
-            .map(|(&pc, &state)| ColorChange { pc, state })
-            .collect();
-        for (&pc, &state) in prev {
-            if state != ColorState::Uncolored && !analysed.contains_key(&pc) {
-                v.push(ColorChange {
-                    pc,
-                    state: ColorState::Uncolored,
-                });
-            }
-        }
-        v.sort_by_key(|c| c.pc);
-        v
+        let mut out = Vec::new();
+        let painted = |pc| prev.get(&pc).copied().unwrap_or(ColorState::Uncolored);
+        let was = prev.iter().map(|(&pc, &state)| (pc, state));
+        diff_into(&self.analyse(buffer), painted, was, &mut out);
+        out
     }
+}
+
+/// Set `out` to what [`PairElision::diff`] reports for `analysed`
+/// against what is painted: `painted(pc)` per pc, and `was` lists the
+/// painted pcs (at least those not `Uncolored`).
+pub(crate) fn diff_into(
+    analysed: &HashMap<usize, ColorState>,
+    painted: impl Fn(usize) -> ColorState,
+    was: impl Iterator<Item = (usize, ColorState)>,
+    out: &mut Vec<ColorChange>,
+) {
+    out.clear();
+    for (&pc, &state) in analysed {
+        if state != painted(pc) {
+            out.push(ColorChange { pc, state });
+        }
+    }
+    for (pc, state) in was {
+        if state != ColorState::Uncolored && !analysed.contains_key(&pc) {
+            let state = ColorState::Uncolored;
+            out.push(ColorChange { pc, state });
+        }
+    }
+    out.sort_unstable_by_key(|c| c.pc);
 }
 
 /// No event: the end of a per-pc chain in [`ElisionWindow`].

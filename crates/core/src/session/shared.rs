@@ -11,7 +11,7 @@ use stetho_mal::Plan;
 use stetho_profiler::{FilterOptions, ProfilerEmitter, StopHandle, TraceEvent};
 use stetho_zvtm::{EventDispatchThread, VirtualSpace};
 
-use crate::color::{ColorChange, ColorState, ElisionWindow, PairElision};
+use crate::color::{diff_into, ColorChange, ColorState, ElisionWindow, PairElision};
 use crate::mapping::TraceDotMap;
 use crate::session::SessionError;
 
@@ -59,21 +59,14 @@ impl PlanView {
         edt: &mut EventDispatchThread,
         now_ms: u64,
     ) {
-        let analysed = PairElision.analyse(window);
-        self.changes.clear();
-        for (&pc, &state) in &analysed {
-            if state != self.state(pc) {
-                self.changes.push(ColorChange { pc, state });
-            }
-        }
-        let pcs = self.map.index().pcs();
-        for (&pc, &painted) in pcs.iter().zip(&self.painted) {
-            if painted != ColorState::Uncolored && !analysed.contains_key(&pc) {
-                let state = ColorState::Uncolored;
-                self.changes.push(ColorChange { pc, state });
-            }
-        }
-        self.changes.sort_unstable_by_key(|c| c.pc);
+        let (index, painted) = (self.map.index(), &self.painted);
+        let was = index.pcs().iter().copied().zip(painted.iter().copied());
+        diff_into(
+            &PairElision.analyse(window),
+            |pc| index.slot(pc).map_or(ColorState::Uncolored, |s| painted[s]),
+            was,
+            &mut self.changes,
+        );
         self.apply(edt, now_ms);
     }
 
